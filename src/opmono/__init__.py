@@ -45,6 +45,7 @@ from .counting import (
     count_comm_unary,
     count_free,
     free_length_closed,
+    free_length_closed_table,
     length_sequence,
     multinomial,
     narayana,

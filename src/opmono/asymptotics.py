@@ -5,16 +5,21 @@ reciprocal of an algebraic number isolated by bisection (the defining
 equations are strictly monotone on (0, 1)).  For the commutative-product
 regimes no comparable closed equation is available, so a finite-n ratio
 estimator with the n^(-3/2) subexponential correction is reported instead.
+
+``mpmath`` is imported by the functions that use it, so that importing
+opmono does not pay for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .counting import length_sequence
 from .monomial import Regime
+
+if TYPE_CHECKING:
+    import mpmath
 
 _PREC_BITS = 192  # working precision for bisection and the estimator
 _MAX_BISECT = 600
@@ -58,12 +63,16 @@ def _bisect(f, a, b, tol):
 
 def _half_power(z, ell: int):
     # z^(ell/2) on (0, 1), well-defined for odd ell via the square root
+    import mpmath
+
     return mpmath.sqrt(z) ** ell
 
 
 def growth_free(d: int, ell: int, tol: float = 1e-12) -> GrowthResult:
     """Exact growth rate with nothing commuting: g = 1/rho where rho is the
     unique root in (0, 1) of rho^(ell/2) + sqrt(d)*rho = 1 (increasing)."""
+    import mpmath
+
     if d < 1 or ell < 1 or tol <= 0:
         raise ValueError("need d >= 1, ell >= 1 and tol > 0")
     with mpmath.workprec(_PREC_BITS):
@@ -78,6 +87,8 @@ def growth_comm_unary(d: int, ell: int, tol: float = 1e-12) -> GrowthResult:
     """Exact growth rate with commuting unary operators: g = 1/rho where rho
     is the unique root in (0, 1) of (1-rho^2)^d + rho^ell = 2*rho^(ell/2)
     (the left-minus-right side is strictly decreasing)."""
+    import mpmath
+
     if d < 1 or ell < 1 or tol <= 0:
         raise ValueError("need d >= 1, ell >= 1 and tol > 0")
     with mpmath.workprec(_PREC_BITS):
@@ -92,6 +103,8 @@ def growth_estimate(regime: Regime, d: int, ell: int, n: int) -> GrowthResult:
 
     Intended for the commutative-product regimes, which have no exact-root
     equation here, but usable on any regime for cross-checks."""
+    import mpmath
+
     if n < 1:
         raise ValueError("n must be >= 1")
     seq = length_sequence(regime, d, ell, 2 * n + 2)

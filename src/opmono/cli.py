@@ -2,7 +2,8 @@
 
 Subcommands: count, sequence, table, enumerate, series, growth, paths,
 trees, verify, bfile.  Exit codes: 0 success, 1 verification mismatch,
-2 usage error, 3 enumeration cap exceeded.
+2 usage error (including an unreadable fixture file), 3 enumeration cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
     except oracle.EnumerationCapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

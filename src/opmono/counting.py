@@ -232,6 +232,25 @@ def free_length_closed(d: int, ell: int, n: int) -> int:
     return total
 
 
+def free_length_closed_table(d: int, ell: int, n_max: int) -> list[int]:
+    """:func:`free_length_closed` for every 0 <= n <= n_max in one pass.
+
+    Along each degree r the Narayana numbers are stepped by
+    N(r+k, k) = N(r+k-1, k-1) * (r+k-1)(r+k) / (k(k+1)), starting from
+    N(r, 0) = 1; every division is checked to be exact."""
+    table = [0] * (n_max + 1)
+    for r in range(1, n_max // ell + 1):
+        nar = weight = 1  # N(r+k, k) and d^k
+        for k in range((n_max - ell * r) // 2 + 1):
+            if k:
+                nar, rem = divmod(nar * (r + k - 1) * (r + k), k * (k + 1))
+                if rem:
+                    raise SelfCheckError(f"Narayana step to N({r + k},{k}) not exact")
+                weight *= d
+            table[ell * r + 2 * k] += weight * nar
+    return table
+
+
 def _free_values_recurrence(d: int, ell: int, n_max: int) -> list[int]:
     b = [0] * (n_max + 1)
     for n in range(1, n_max + 1):
@@ -297,12 +316,12 @@ def length_sequence(regime: Regime, d: int, ell: int, n_max: int) -> LengthSeque
         raise ValueError("d, ell and n_max must all be >= 1")
     if regime is Regime.FREE:
         values = _free_values_recurrence(d, ell, n_max)
+        closed = free_length_closed_table(d, ell, n_max)
         for n in range(1, n_max + 1):
-            closed = free_length_closed(d, ell, n)
-            if closed != values[n]:
+            if closed[n] != values[n]:
                 raise SelfCheckError(
                     f"free length count mismatch at n={n}: "
-                    f"closed sum {closed} vs recurrence {values[n]}")
+                    f"closed sum {closed[n]} vs recurrence {values[n]}")
     elif regime is Regime.COMM_UNARY:
         values = _comm_unary_values(d, ell, n_max)
     else:

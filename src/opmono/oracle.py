@@ -111,19 +111,19 @@ def _multiset_monomials(regime: Regime, d: int, r: int, s: tuple[int, ...]) -> l
     out: list[Monomial] = []
     picked: list[Monomial] = []
 
+    # picks factors in weakly increasing candidate order; the recursion is
+    # one level per factor, so its depth is at most r
     def choose(i: int, r_rem: int, s_rem: tuple[int, ...]) -> None:
         if r_rem == 0:
             if not any(s_rem):
                 out.append(picked[0] if len(picked) == 1 else Product(tuple(picked)))
             return
-        if i >= len(cands):
-            return
-        choose(i + 1, r_rem, s_rem)
-        a, r1, s1 = cands[i]
-        if r1 <= r_rem and all(x <= y for x, y in zip(s1, s_rem)):
-            picked.append(a)
-            choose(i, r_rem - r1, _sub(s_rem, s1))
-            picked.pop()
+        for j in range(i, len(cands)):
+            a, r1, s1 = cands[j]
+            if r1 <= r_rem and all(x <= y for x, y in zip(s1, s_rem)):
+                picked.append(a)
+                choose(j, r_rem - r1, _sub(s_rem, s1))
+                picked.pop()
 
     choose(0, r, s)
     return out

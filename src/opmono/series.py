@@ -1,24 +1,149 @@
-"""Truncated one-variable formal power series with exact rational
-coefficients, plus solvers for the generating-function equations of the four
-regimes.
+"""Truncated one-variable formal power series with exact coefficients, plus
+solvers for the generating-function equations of the four regimes.
 
-The series route is independent of the counting recurrences: quadratic
-functional equations are solved by fixpoint iteration (each pass raises the
-guaranteed-correct order) or by Newton's method on the quadratic, and the
-commutative-product regimes go through the exp-log multiset construction.
-Exponentials and logarithms divide by integers, so coefficients are held as
-Fractions internally; announced outputs are asserted to be integral.
+The series route is independent of the counting recurrences.  Everything
+runs on plain coefficient lists through a handful of shared kernels:
+truncated multiplication, the inverse of a series with unit constant term,
+the exponential from its log-derivative, and the square root.  On ``int``
+lists every division inside a kernel is asserted exact and raises
+:class:`SelfCheckError` otherwise; on ``Fraction`` lists (the public
+:class:`Series` arithmetic) the same kernels divide rationally.
+
+* The noncommutative-product regimes (free, c) solve the quadratic
+  Q(B) = w*B^2 + (w + z^ell - 1)*B + z^ell = 0 by precision-doubling Newton
+  iteration (Brent & Kung 1978).  Q'(B) has constant term -1, so its
+  inverse is integral and each step doubles the number of correct
+  coefficients over the integers.
+* The free regime has a second, non-iterative route,
+  :func:`closed_form_free`: the quadratic formula with an integer series
+  square root, followed by an asserted exact division by 2*d*z^2.
+* The commutative-product regimes (m, cm) solve the multiset construction
+  1 + Y = exp(sum_{j>=1} Bbar(z^j)/j), Bbar = z^ell + w*Y, by the same
+  doubling.  The j >= 2 terms R only read Y at half the index, so each step
+  fixes R from the half-precision iterate (Otter, Polya) and takes one
+  Newton step on Y = exp(z^ell + w*Y + R) - 1.  The exponential is formed
+  from the integral log-derivative sum_n (sum_{k|n} k*bbar_k) z^n, so the
+  division by n in m*e_m = sum_k c_k*e_{m-k} is asserted exact.
+
+Every solver finishes by substituting its answer back into its equation at
+full order.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable
 
 from .counting import SelfCheckError
 from .monomial import Regime
 
+
+# ---------------------------------------------------------------------------
+# List kernels.  A list holds the coefficients of z^0, z^1, ...; ``n`` is the
+# number of coefficients wanted (the order plus one).
+
+def _div(a, m: int, what: str):
+    """a / m, which must be exact when a is an int."""
+    if isinstance(a, int):
+        q, rem = divmod(a, m)
+        if rem:
+            raise SelfCheckError(f"{what}: {a} is not divisible by {m}")
+        return q
+    return a / m
+
+
+def _add(*terms, n: int) -> list:
+    out = [0] * n
+    for t in terms:
+        for i, c in enumerate(t[:n]):
+            out[i] += c
+    return out
+
+
+def _mul(a, b, n: int) -> list:
+    """The first n coefficients of a*b."""
+    a, rb = a[:n], b[:n][::-1]
+    la, lb = len(a), len(rb)
+    out = []
+    for k in range(n):
+        lo, hi = max(0, k - lb + 1), min(k, la - 1)
+        out.append(sum(map(mul, a[lo:hi + 1], rb[lb - 1 - k + lo:lb - k + hi]))
+                   if lo <= hi else 0)
+    return out
+
+
+def _inv(f, n: int) -> list:
+    """The first n coefficients of 1/f; f[0] must be a unit (+-1 for ints)."""
+    f0 = f[0]
+    if isinstance(f0, int):
+        if f0 not in (1, -1):
+            raise ValueError("an integer series is invertible only with constant term +-1")
+        g0 = f0
+    elif f0 == 0:
+        raise ValueError("series with zero constant term has no inverse")
+    else:
+        g0 = 1 / f0
+    g = [g0]
+    for m in range(1, n):
+        hi = min(m, len(f) - 1)
+        g.append(-g0 * sum(map(mul, f[1:hi + 1], g[m - hi:m][::-1])))
+    return g
+
+
+def _exp(c, n: int) -> list:
+    """The first n coefficients of exp(L), where c = z*L' (so c[0] = 0):
+    m*e_m = sum_{k=1}^{m} c_k*e_{m-k}."""
+    e = [1]
+    for m in range(1, n):
+        hi = min(m, len(c) - 1)
+        e.append(_div(sum(map(mul, c[1:hi + 1], e[m - hi:m][::-1])), m,
+                      f"exp coefficient of z^{m}"))
+    return e
+
+
+def _sqrt(f, n: int) -> list:
+    """The first n coefficients of sqrt(f) for f[0] = 1:
+    2*s_m = f_m - sum_{k=1}^{m-1} s_k*s_{m-k}."""
+    s = [1]
+    for m in range(1, n):
+        s.append(_div(f[m] - sum(map(mul, s[1:m], s[m - 1:0:-1])), 2,
+                      f"square-root coefficient of z^{m}"))
+    return s
+
+
+def _newton(step, n: int) -> list:
+    """Precision-doubling loop: ``step(y, h, p)`` lifts y, correct to h
+    coefficients, to p <= 2h.  Starts from the zero constant term."""
+    y, h = [0], 1
+    while h < n:
+        p = min(2 * h, n)
+        y = step(y + [0] * (p - h), h, p)
+        h = p
+    return y
+
+
+def _term(k: int, n: int, c: int = 1) -> list:
+    out = [0] * n
+    if k < n:
+        out[k] = c
+    return out
+
+
+def _layer(regime: Regime, d: int, n: int) -> list:
+    # one layer of unary labels: d*z^2 when the operators are free,
+    # 1 - (1 - z^2)^d = sum_j (-1)^(j+1) C(d, j) z^(2j) when they commute
+    if not regime.unary_commute:
+        return _term(2, n, d)
+    out = [0] * n
+    for j in range(1, min(d, (n - 1) // 2) + 1):
+        out[2 * j] = (-1) ** (j + 1) * math.comb(d, j)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The public wrapper.
 
 class Series:
     """Power series truncated at ``order`` (inclusive); immutable."""
@@ -45,10 +170,7 @@ class Series:
     @classmethod
     def term(cls, order: int, k: int, c=1) -> "Series":
         """The single term c * z^k (zero if k exceeds the order)."""
-        coeffs = [0] * (order + 1)
-        if k <= order:
-            coeffs[k] = c
-        return cls(coeffs, order)
+        return cls(_term(k, order + 1, c), order)
 
     def coeff(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
@@ -95,16 +217,7 @@ class Series:
         if not isinstance(other, Series):
             return self.scaled(other)
         self._same_order(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(0, n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return Series(out, n)
+        return Series(_mul(self.coeffs, other.coeffs, self.order + 1), self.order)
 
     __rmul__ = __mul__
 
@@ -116,11 +229,8 @@ class Series:
         """Substitute z -> z^k (k >= 1)."""
         if k < 1:
             raise ValueError("substitution power must be >= 1")
-        out = [Fraction(0)] * (self.order + 1)
-        for n, c in enumerate(self.coeffs):
-            if n * k > self.order:
-                break
-            out[n * k] = c
+        out = [0] * (self.order + 1)
+        out[::k] = self.coeffs[: self.order // k + 1]
         return Series(out, self.order)
 
     def power(self, k: int) -> "Series":
@@ -136,51 +246,27 @@ class Series:
         return out
 
     def inverse(self) -> "Series":
-        f0 = self.coeffs[0]
-        if f0 == 0:
-            raise ValueError("series with zero constant term has no inverse")
-        n = self.order
-        g = [Fraction(0)] * (n + 1)
-        g[0] = 1 / f0
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(1, m + 1):
-                if self.coeffs[k]:
-                    acc += self.coeffs[k] * g[m - k]
-            g[m] = -g[0] * acc
-        return Series(g, n)
+        return Series(_inv(self.coeffs, self.order + 1), self.order)
 
     def __truediv__(self, other: "Series") -> "Series":
         return self * other.inverse()
+
+    def _log_derivative(self) -> list:
+        return [k * c for k, c in enumerate(self.coeffs)]
 
     def exp(self) -> "Series":
         """exp of a series with zero constant term."""
         if self.coeffs[0] != 0:
             raise ValueError("exp requires zero constant term")
-        n = self.order
-        e = [Fraction(0)] * (n + 1)
-        e[0] = Fraction(1)
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(1, m + 1):
-                if self.coeffs[k]:
-                    acc += k * self.coeffs[k] * e[m - k]
-            e[m] = acc / m
-        return Series(e, n)
+        return Series(_exp(self._log_derivative(), self.order + 1), self.order)
 
     def log(self) -> "Series":
         """log of a series with constant term 1."""
         if self.coeffs[0] != 1:
             raise ValueError("log requires constant term 1")
-        n = self.order
-        l = [Fraction(0)] * (n + 1)
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(1, m):
-                if l[k] and self.coeffs[m - k]:
-                    acc += k * l[k] * self.coeffs[m - k]
-            l[m] = self.coeffs[m] - acc / m
-        return Series(l, n)
+        n = self.order + 1
+        q = _mul(self._log_derivative(), _inv(self.coeffs, n), n)
+        return Series([0] + [_div(q[m], m, "log") for m in range(1, n)], self.order)
 
     def integer_coeffs(self) -> list[int]:
         out = []
@@ -191,82 +277,120 @@ class Series:
         return out
 
 
+# ---------------------------------------------------------------------------
+# Solvers.
+
+def _check_args(ell: int, order: int, d: int = 1) -> None:
+    if d < 1 or ell < 1:
+        raise ValueError("d and ell must be >= 1")
+    if order < ell:
+        raise ValueError("order must be at least ell")
+
+
 def unary_layer_series(regime: Regime, d: int, order: int) -> Series:
     """Generating weight of one layer of unary labels in the length grading:
     d*z^2 when the operators are free, 1 - (1-z^2)^d when they commute."""
-    if regime.unary_commute:
-        one = Series.term(order, 0, 1)
-        base = one - Series.term(order, 2, 1)
-        return one - base.power(d)
-    return Series.term(order, 2, d)
+    return Series(_layer(regime, d, order + 1), order)
+
+
+def _quadratic_newton(w: list, ell: int, n: int) -> list:
+    # Q(B) = B*(w*B + lin) + z^ell with lin = w + z^ell - 1, and
+    # Q'(B) = (w*B + lin) + w*B; Q(B) vanishes below z^h, so Q'(B) is only
+    # needed below z^(p-h).
+    lin = _add(w, _term(ell, n), [-1], n=n)
+    zl = _term(ell, n)
+
+    def parts(b, p):
+        wb = _mul(w, b, p)
+        t = _add(wb, lin, n=p)
+        return _add(_mul(b, t, p), zl, n=p), wb, t
+
+    def step(b, h, p):
+        q, wb, t = parts(b, p)
+        delta = _mul(q, _inv(_add(t, wb, n=p - h), p - h), p)
+        return [x - y for x, y in zip(b, delta)]
+
+    b = _newton(step, n)
+    if any(parts(b, n)[0]):
+        raise SelfCheckError("Newton solution does not satisfy the quadratic")
+    return b
 
 
 def solve_quadratic_fe(regime: Regime, d: int, ell: int, order: int) -> Series:
     """Unique zero-constant-term solution of
     B = z^ell + z^ell*B + w*(B + B^2), where w is the unary-layer weight of
-    ``regime`` (FREE or COMM_UNARY).  Fixpoint iteration; each pass raises
-    the guaranteed-correct order by at least one."""
+    ``regime`` (FREE or COMM_UNARY), by precision-doubling Newton iteration
+    on the quadratic over the integers."""
     if regime not in (Regime.FREE, Regime.COMM_UNARY):
         raise ValueError("quadratic functional equation applies to the "
                          "noncommutative-product regimes only")
-    if order < ell:
-        raise ValueError("order must be at least ell")
-    zl = Series.term(order, ell)
-    w = unary_layer_series(regime, d, order)
-    b = Series.zero(order)
-    for _ in range(order + 2):
-        nxt = zl + zl * b + w * (b + b * b)
-        if nxt == b:
-            return b
-        b = nxt
-    raise SelfCheckError("fixpoint iteration did not converge")
+    _check_args(ell, order, d)
+    n = order + 1
+    return Series(_quadratic_newton(_layer(regime, d, n), ell, n), order)
 
 
 def closed_form_free(d: int, ell: int, order: int) -> Series:
-    """The free-regime series via Newton iteration on its quadratic
-    d*z^2*B^2 - (1 - z^ell - d*z^2)*B + z^ell = 0.  Agrees with
+    """The free-regime series by the quadratic formula for
+    d*z^2*B^2 - L*B + z^ell = 0 with L = 1 - z^ell - d*z^2:
+    B = (L - sqrt(L^2 - 4*d*z^(ell+2))) / (2*d*z^2), with an integer series
+    square root and an asserted exact division.  Agrees with
     :func:`solve_quadratic_fe` coefficient for coefficient."""
-    if order < ell:
-        raise ValueError("order must be at least ell")
-    one = Series.term(order, 0, 1)
-    zl = Series.term(order, ell)
-    w = Series.term(order, 2, d)
-    lin = one - zl - w
-    b = Series.zero(order)
-    for _ in range(order.bit_length() + 3):
-        q = w * b * b - lin * b + zl
-        dq = w * b * 2 - lin
-        nxt = b - q / dq
-        if nxt == b:
-            return b
-        b = nxt
-    raise SelfCheckError("Newton iteration did not converge")
+    _check_args(ell, order, d)
+    n = order + 3  # the division by z^2 consumes two coefficients
+    lin = _add([1], _term(ell, n, -1), _term(2, n, -d), n=n)
+    disc = _add(_mul(lin, lin, n), _term(ell + 2, n, -4 * d), n=n)
+    num = [a - b for a, b in zip(lin, _sqrt(disc, n))]
+    if num[0] or num[1]:
+        raise SelfCheckError("quadratic-formula numerator not divisible by z^2")
+    return Series([_div(c, 2 * d, "quadratic formula") for c in num[2:]], order)
+
+
+def _multiset_newton(atom: list, w: list, n: int) -> list:
+    # Y solves 1 + Y = exp(sum_{j>=1} Bbar(z^j)/j) with Bbar = atom + w*Y.
+    def euler_exp(y, p):
+        bbar = _add(atom, _mul(w, y, p), n=p)
+        c = [0] * p  # z*d/dz of sum_j Bbar(z^j)/j: c_m = sum_{k|m} k*bbar_k
+        for k in range(1, p):
+            if bbar[k]:
+                kb = k * bbar[k]
+                for m in range(k, p, k):
+                    c[m] += kb
+        return _exp(c, p)
+
+    def step(y, h, p):
+        # y is exact below z^h, so the j >= 2 terms are exact below z^(2h)
+        e = euler_exp(y, p)
+        resid = _add([1], y, [-x for x in e], n=p)
+        slope = _add([1], [-x for x in _mul(w, e, p - h)], n=p - h)
+        delta = _mul(resid, _inv(slope, p - h), p)
+        return [a - b for a, b in zip(y, delta)]
+
+    y = _newton(step, n)
+    if _add([1], y, n=n) != euler_exp(y, n):
+        raise SelfCheckError("Newton solution does not satisfy the exp-log equation")
+    return y
 
 
 def euler_exp_log(atom_series: Callable[[Series], Series], ell: int,
                   order: int) -> Series:
-    """Fixpoint B of the multiset construction
+    """Solution B of the multiset construction
     1 + B = exp(sum_{j>=1} Bbar(z^j)/j), with Bbar = atom_series(B).
 
-    ``atom_series`` must map B to a series with valuation >= 1.  All
-    coefficients of the result must come out integral (checked)."""
-    one = Series.term(order, 0, 1)
-    b = Series.zero(order)
-    for _ in range(order + 2):
-        bbar = atom_series(b)
-        if bbar.valuation() < 1:
-            raise ValueError("atom series must have zero constant term")
-        acc = Series.zero(order)
-        for j in range(1, order + 1):
-            if j * bbar.valuation() > order:
-                break
-            acc = acc + bbar.substitute_power(j).scaled(Fraction(1, j))
-        nxt = acc.exp() - one
-        if nxt == b:
-            b.integer_coeffs()
-            return b
-        b = nxt
-    raise SelfCheckError("exp-log fixpoint iteration did not converge")
+    ``atom_series`` must be affine in B, Bbar = P + W*B with P and W
+    integral and of zero constant term, as the atom series of a monomial
+    (the indeterminate, or one unary layer over a monomial) is.  P and W are
+    read off at B = 0 and B = 1, and affinity is checked at the solution."""
+    _check_args(ell, order)
+    zero, one = Series.zero(order), Series.term(order, 0)
+    p_ser = atom_series(zero)
+    w_ser = atom_series(one) - p_ser
+    if p_ser.valuation() < 1 or w_ser.valuation() < 1:
+        raise ValueError("atom series must have zero constant term")
+    b = Series(_multiset_newton(p_ser.integer_coeffs(), w_ser.integer_coeffs(),
+                                order + 1), order)
+    if atom_series(b) != p_ser + w_ser * b:
+        raise ValueError("atom series must be affine in B")
+    return b
 
 
 def euler_series(regime: Regime, d: int, ell: int, order: int) -> Series:
@@ -275,9 +399,9 @@ def euler_series(regime: Regime, d: int, ell: int, order: int) -> Series:
     if regime not in (Regime.COMM_MULT, Regime.COMM_BOTH):
         raise ValueError("the exp-log construction applies to the "
                          "commutative-product regimes only")
-    zl = Series.term(order, ell)
-    w = unary_layer_series(regime, d, order)
-    return euler_exp_log(lambda b: zl + w * b, ell, order)
+    _check_args(ell, order, d)
+    n = order + 1
+    return Series(_multiset_newton(_term(ell, n), _layer(regime, d, n), n), order)
 
 
 def series_for(regime: Regime, d: int, ell: int, order: int) -> Series:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,11 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--regime", "c", "--d", "2",
                            "--r", "2", "--s", "2,1", "--oracle")
         assert code == 0 and out == "18\n"
+
+    def test_oracle_multiset_cell(self, capsys):
+        code, out, err = run(capsys, "count", "--oracle", "--regime", "m", "--d", "2",
+                             "--r", "5", "--s", "2,2")
+        assert code == 0 and out == "1195\n" and err == ""
 
 
 class TestSequence:
@@ -88,6 +97,12 @@ class TestSeries:
                            "--ell", "2", "--order", "6", "--method", "newton")
         assert code == 2 and "free regime" in err
 
+    def test_order_below_ell(self, capsys):
+        for regime in ("free", "c", "m", "cm"):
+            code, out, err = run(capsys, "series", "--regime", regime, "--d", "1",
+                                 "--ell", "3", "--order", "2")
+            assert code == 2 and out == "" and "order" in err
+
 
 class TestGrowth:
     def test_exact(self, capsys):
@@ -126,6 +141,11 @@ class TestVerifyAndBfile:
         assert code == 0
         assert "0 mismatches" in out
         assert "MISMATCH" not in out
+
+    def test_missing_fixture_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", str(tmp_path / "missing.txt"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_corrupted_fixture_detected(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
@@ -197,3 +217,26 @@ class TestFixtureParsing:
     def test_comments_and_blanks_skipped(self):
         entries = fixtures.parse_fixtures("# hi\n\nseq A free d=1 ell=1 offset=1: 1\n")
         assert len(entries) == 1
+
+
+class TestFreshProcess:
+    """The package as a user starts it: a new interpreter with src on the path."""
+
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    def python(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [self.SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_import_leaves_mpmath_unloaded(self):
+        proc = self.python("-c", "import sys, opmono; print('mpmath' in sys.modules)")
+        assert proc.returncode == 0 and proc.stdout == "False\n"
+
+    def test_growth_still_prints_g(self):
+        proc = self.python("-m", "opmono.cli", "growth", "--regime", "free",
+                           "--d", "2", "--ell", "2")
+        assert proc.returncode == 0
+        assert proc.stdout == "g = 2.414214  rho = 0.414214\n"

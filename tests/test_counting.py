@@ -12,6 +12,7 @@ from opmono import (
     count_free,
     compositions,
     free_length_closed,
+    free_length_closed_table,
     length_sequence,
     multinomial,
     narayana,
@@ -146,6 +147,12 @@ class TestLengthSequences:
         seq = length_sequence(Regime.FREE, 3, 3, 20)
         for n in (5, 10, 15, 20):
             assert free_length_closed(3, 3, n) == seq.value(n)
+
+    def test_one_pass_closed_table_matches_per_n_sum(self):
+        for d in (1, 2, 3):
+            for ell in (1, 2, 3):
+                table = free_length_closed_table(d, ell, 200)
+                assert table == [free_length_closed(d, ell, n) for n in range(201)]
 
     def test_cross_identity_length_four_vs_one(self):
         s14 = length_sequence(Regime.FREE, 1, 4, 2 * 20 + 2)

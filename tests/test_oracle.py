@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from opmono import oracle
 from opmono import (
     Regime,
     EnumerationCapExceeded,
@@ -84,3 +87,21 @@ def test_cap_guard():
 def test_rejects_bad_degree():
     with pytest.raises(ValueError):
         enumerate_monomials(2, 0, (0, 0), Regime.FREE)
+
+
+@pytest.mark.parametrize("regime,r,s,want", [
+    (Regime.COMM_MULT, 5, (2, 2), 1195),
+    (Regime.COMM_BOTH, 4, (3, 2), 1010),
+], ids=["m-r5-s22", "cm-r4-s32"])
+def test_multiset_cells_within_default_recursion_limit(regime, r, s, want):
+    # these cells have over a thousand candidate atoms, so the multiset
+    # generator must recurse once per factor and not once per candidate
+    oracle._atoms.cache_clear()
+    oracle._monomials.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = enumerate_monomials(2, r, s, regime)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(got) == len(set(got)) == want == count(regime, 2, r, s)

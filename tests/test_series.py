@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from opmono import (
     Regime,
@@ -135,6 +135,43 @@ def test_dual_route_against_recurrences_spot():
         ser = series_for(regime, 2, 2, 24)
         seq = length_sequence(regime, 2, 2, 24)
         assert [int(ser.coeff(n)) for n in range(1, 25)] == list(seq.values[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(Regime)), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 120))
+def test_series_matches_recurrences(regime, d, ell, order):
+    order = max(order, ell)
+    ser = series_for(regime, d, ell, order)
+    assert list(ser.coeffs) == list(length_sequence(regime, d, ell, order).values)
+
+
+@pytest.mark.parametrize("regime", list(Regime), ids=[r.value for r in Regime])
+def test_order_200_smoke(regime):
+    ser = series_for(regime, 3, 2, 200)
+    assert ser.order == 200
+    assert ser.coeff(2) == 1 and ser.coeff(199) == 0
+    assert all(c.denominator == 1 for c in ser.coeffs)
+
+
+class TestSeriesArguments:
+    SOLVERS = [lambda *a, regime=regime: series_for(regime, *a) for regime in Regime]
+    SOLVERS.append(closed_form_free)
+
+    @pytest.mark.parametrize("args", [(1, 3, 2), (0, 2, 8), (1, 0, 8)],
+                             ids=["order-below-ell", "d0", "ell0"])
+    def test_rejected_by_every_solver(self, args):
+        for solve in self.SOLVERS:
+            with pytest.raises(ValueError):
+                solve(*args)
+
+    def test_exp_log_rejects_order_below_ell(self):
+        with pytest.raises(ValueError):
+            euler_exp_log(lambda b: Series.term(4, 5), 5, 4)
+
+    def test_exp_log_rejects_nonaffine_atoms(self):
+        with pytest.raises(ValueError, match="affine"):
+            euler_exp_log(lambda b: Series.term(8, 1) + (b * b).shifted(1), 1, 8)
 
 
 def test_substitution_identity():
