@@ -39,6 +39,7 @@ from .bijections import (
 from .counting import (
     LengthSequence,
     SelfCheckError,
+    check_symmetry_a1,
     count,
     count_comm_both,
     count_comm_mult,
@@ -79,7 +80,6 @@ from .oracle import (
 )
 from .series import (
     Series,
-    check_symmetry_a1,
     closed_form_free,
     euler_exp_log,
     euler_series,

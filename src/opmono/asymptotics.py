@@ -1,10 +1,11 @@
 """Exponential growth rates of the length-graded families.
 
 For the noncommutative-product regimes the growth rate is exact: it is the
-reciprocal of an algebraic number isolated by bisection (the defining
-equations are strictly monotone on (0, 1)).  For the commutative-product
-regimes no comparable closed equation is available, so a finite-n ratio
-estimator with the n^(-3/2) subexponential correction is reported instead.
+reciprocal of the root rho of sqrt(w(rho)) + rho^(ell/2) = 1, with w the
+unary-layer weight, isolated by bisection (the left side is strictly
+increasing on (0, 1)).  For the commutative-product regimes no comparable
+closed equation is available, so a finite-n ratio estimator with the
+n^(-3/2) subexponential correction is reported instead.
 
 ``mpmath`` is imported by the functions that use it, so that importing
 opmono does not pay for it.
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .counting import length_sequence
+from .counting import layer_weight, length_sequence
 from .monomial import Regime
 
 if TYPE_CHECKING:
@@ -61,41 +62,32 @@ def _bisect(f, a, b, tol):
                           "tol is below the working precision")
 
 
-def _half_power(z, ell: int):
-    # z^(ell/2) on (0, 1), well-defined for odd ell via the square root
-    import mpmath
-
-    return mpmath.sqrt(z) ** ell
-
-
-def growth_free(d: int, ell: int, tol: float = 1e-12) -> GrowthResult:
-    """Exact growth rate with nothing commuting: g = 1/rho where rho is the
-    unique root in (0, 1) of rho^(ell/2) + sqrt(d)*rho = 1 (increasing)."""
+def _exact_root(regime: Regime, d: int, ell: int, tol: float) -> GrowthResult:
+    # The quadratic's discriminant vanishes where sqrt(w) + sqrt(rho)^ell = 1;
+    # the left side increases from 0 to sqrt(w(1)) + 1 on (0, 1).
     import mpmath
 
     if d < 1 or ell < 1 or tol <= 0:
         raise ValueError("need d >= 1, ell >= 1 and tol > 0")
     with mpmath.workprec(_PREC_BITS):
-        sd = mpmath.sqrt(d)
-        f = lambda z: _half_power(z, ell) + sd * z - 1
+        commuting = regime.unary_commute
+        f = lambda z: mpmath.sqrt(layer_weight(commuting, d, z)) + mpmath.sqrt(z) ** ell - 1
         rho = _bisect(f, mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(tol))
         g = 1 / rho
-    return GrowthResult(Regime.FREE, d, ell, g, "exact-root", rho=rho, tol=tol)
+    return GrowthResult(regime, d, ell, g, "exact-root", rho=rho, tol=tol)
+
+
+def growth_free(d: int, ell: int, tol: float = 1e-12) -> GrowthResult:
+    """Exact growth rate with nothing commuting: g = 1/rho where rho is the
+    unique root in (0, 1) of rho^(ell/2) + sqrt(d)*rho = 1 (increasing)."""
+    return _exact_root(Regime.FREE, d, ell, tol)
 
 
 def growth_comm_unary(d: int, ell: int, tol: float = 1e-12) -> GrowthResult:
     """Exact growth rate with commuting unary operators: g = 1/rho where rho
     is the unique root in (0, 1) of (1-rho^2)^d + rho^ell = 2*rho^(ell/2)
     (the left-minus-right side is strictly decreasing)."""
-    import mpmath
-
-    if d < 1 or ell < 1 or tol <= 0:
-        raise ValueError("need d >= 1, ell >= 1 and tol > 0")
-    with mpmath.workprec(_PREC_BITS):
-        f = lambda z: (1 - z * z) ** d + z ** ell - 2 * _half_power(z, ell)
-        rho = _bisect(f, mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(tol))
-        g = 1 / rho
-    return GrowthResult(Regime.COMM_UNARY, d, ell, g, "exact-root", rho=rho, tol=tol)
+    return _exact_root(Regime.COMM_UNARY, d, ell, tol)
 
 
 def growth_estimate(regime: Regime, d: int, ell: int, n: int) -> GrowthResult:
@@ -120,9 +112,7 @@ def growth_estimate(regime: Regime, d: int, ell: int, n: int) -> GrowthResult:
 
 def growth(regime: Regime, d: int, ell: int, tol: float = 1e-12,
            n: int = 100) -> GrowthResult:
-    """Exact root for FREE/COMM_UNARY, ratio estimate otherwise."""
-    if regime is Regime.FREE:
-        return growth_free(d, ell, tol)
-    if regime is Regime.COMM_UNARY:
-        return growth_comm_unary(d, ell, tol)
-    return growth_estimate(regime, d, ell, n)
+    """Exact root for the noncommutative products, ratio estimate otherwise."""
+    if regime.mult_commute:
+        return growth_estimate(regime, d, ell, n)
+    return _exact_root(regime, d, ell, tol)

@@ -204,6 +204,8 @@ def matched_ascent_monotone(p: LatticePath) -> bool:
 def all_lattice_paths(d: int, ell: int, span: int) -> list[LatticePath]:
     """All peakless nonnegative paths of the given total horizontal span
     ending on the axis, with d up-step labels and horizontal span ell."""
+    if d < 1 or ell < 1 or span < 0:
+        raise ValueError("need d >= 1, ell >= 1 and span >= 0")
     out: list[LatticePath] = []
     steps: list[tuple] = []
 
@@ -227,6 +229,7 @@ def all_lattice_paths(d: int, ell: int, span: int) -> list[LatticePath]:
             steps.pop()
 
     go(span, 0, False)
+    del go  # break its self-reference, so no cycle holds out after the caller drops it
     return out
 
 
@@ -304,6 +307,8 @@ def binary_tree_text(t: BinaryTree | None) -> str:
 
 def all_binary_trees(n: int, d: int) -> list[BinaryTree | None]:
     """All binary trees with n vertices and right edges labeled in [1, d]."""
+    if d < 1 or n < 0:
+        raise ValueError("need d >= 1 and n >= 0 vertices")
     if n == 0:
         return [None]
     out: list[BinaryTree | None] = []

@@ -41,15 +41,9 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _sequence_terms(args) -> list[int]:
-    regime = Regime.from_code(args.regime)
-    step = 2 if args.ell % 2 == 0 else 1
-    seq = counting.length_sequence(regime, args.d, args.ell, step * args.terms)
-    return seq.table_terms(args.terms)
-
-
 def cmd_sequence(args) -> int:
-    terms = _sequence_terms(args)
+    terms = counting.table_prefix(Regime.from_code(args.regime), args.d, args.ell,
+                                  args.terms)
     if args.format == "plain":
         print(" ".join(str(t) for t in terms))
     elif args.format == "csv":
@@ -64,6 +58,8 @@ def cmd_sequence(args) -> int:
 
 def cmd_table(args) -> int:
     regime = Regime.from_code(args.regime)
+    if args.rmax < 1 or args.smax < 0:
+        raise ValueError("need --rmax >= 1 and --smax >= 0")
     rows = []
     for r in range(1, args.rmax + 1):
         for k in range(args.smax + 1):
@@ -110,13 +106,12 @@ def cmd_series(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    regime = Regime.from_code(args.regime)
-    if regime in (Regime.FREE, Regime.COMM_UNARY):
-        res = asymptotics.growth(regime, args.d, args.ell, tol=args.tol)
+    res = asymptotics.growth(Regime.from_code(args.regime), args.d, args.ell,
+                             tol=args.tol, n=args.n)
+    if res.method == "exact-root":
         print(f"g = {float(res.g):.6f}  rho = {float(res.rho):.6f}")
     else:
-        res = asymptotics.growth_estimate(regime, args.d, args.ell, args.n)
-        print(f"g_hat = {float(res.g):.6f}  (n={args.n})")
+        print(f"g_hat = {float(res.g):.6f}  (n={res.estimate_n})")
     return 0
 
 
@@ -163,23 +158,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bfile(args) -> int:
-    regime = Regime.from_code(args.regime)
-    step = 2 if args.ell % 2 == 0 else 1
-    if args.raw_length:
-        n_max = max(args.terms, 1)
-        seq = counting.length_sequence(regime, args.d, args.ell, n_max)
-        values = {n: seq.value(n) for n in range(1, n_max + 1)}
-        indices = range(args.offset, args.terms + args.offset)
-        for i in indices:
-            print(f"{i} {1 if i == 0 else values[i]}")
-        return 0
-    last_pos = args.terms + args.offset - 1
-    table = []
-    if last_pos >= 1:
-        seq = counting.length_sequence(regime, args.d, args.ell, step * last_pos)
-        table = seq.table_terms()
-    for pos in range(args.offset, last_pos + 1):
-        print(f"{pos} {1 if pos == 0 else table[pos - 1]}")
+    terms = counting.table_prefix(Regime.from_code(args.regime), args.d, args.ell,
+                                  args.terms, args.offset, raw=args.raw_length)
+    for pos, value in enumerate(terms, start=args.offset):
+        print(f"{pos} {value}")
     return 0
 
 

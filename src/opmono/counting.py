@@ -1,11 +1,25 @@
 """Exact counting of multi-operator monomials in all four regimes.
 
+The regimes come from two independent switches, each stated once:
+
+* the unary layer (``Regime.unary_commute``): one step wraps a subterm in a
+  single label, or, when the operators commute, in a nonempty label set
+  taken by inclusion-exclusion.  Its weight, w = d*z^2 or 1 - (1 - z^2)^d,
+  is written only in the section "The unary layer" below, in the three
+  forms its readers need: signed indicator vectors (multigraded
+  recurrences), a length form (length recurrences, the series engine) and
+  w(z) in product form (the growth roots);
+* the product (``Regime.mult_commute``): a monomial is a sequence of atoms,
+  B = z^ell*(1 + B) + w*(B + B^2), or a multiset of atoms, counted by the
+  Euler transform.  An atom is the indeterminate or a layer over a monomial.
+
+The free regime answers by its closed form, the multinomial refinement of
+the Narayana numbers; its sequence recurrence is a second route.
+
 Multigraded counts are indexed by the degree ``r`` (occurrences of the
 indeterminate) and the multiplicity vector ``s`` (per-operator occurrence
-counts).  Length-graded sequences collect all (r, s) with
-``ell*r + 2*|s| == n``.
-
-Everything is computed over Python's arbitrary-precision integers; internal
+counts); length-graded sequences collect all (r, s) with
+``ell*r + 2*|s| == n``.  Everything is exact integer arithmetic; internal
 divisions (Narayana, Euler-transform recurrences) are checked to be exact
 and raise :class:`SelfCheckError` otherwise, since a failure there means a
 bug rather than bad input.
@@ -17,6 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as cartesian
+from operator import mul
 
 from .monomial import Regime
 
@@ -33,6 +48,19 @@ def narayana(n: int, k: int) -> int:
     if rem:
         raise SelfCheckError(f"narayana({n},{k}) division not exact")
     return q
+
+
+def check_symmetry_a1(order: int) -> bool:
+    """Coefficient symmetry of the one-operator bivariate count: the count
+    at degree r with k operator slots equals the count at degree k+1 with
+    r-1 slots.  Checked over all total orders r + k <= order."""
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    for r in range(1, order + 1):
+        for k in range(0, order - r + 1):
+            if narayana(r + k, k) != narayana(r + k, r - 1):
+                return False
+    return True
 
 
 def multinomial(s) -> int:
@@ -57,68 +85,73 @@ def _check_args(d: int, r: int, s) -> tuple[int, ...]:
     return s
 
 
-def count_free(d: int, r: int, s) -> int:
-    """Monomials of degree r, multiplicity s, nothing commuting: the
-    multinomial refinement of the one-operator Narayana count."""
-    s = _check_args(d, r, s)
-    k = sum(s)
-    return multinomial(s) * narayana(r + k, k)
-
-
-# ---------------------------------------------------------------------------
-# Commuting unary operators (noncommutative product).
-
-@lru_cache(maxsize=None)
-def _signed_indicators(d: int, commuting: bool) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    # Inclusion-exclusion terms for one layer of unary labels: when the
-    # operators commute the layer is a nonempty label *set* (indicator
-    # vectors over nonempty subsets, alternating signs); otherwise a single
-    # label (unit vectors, positive signs).
-    if not commuting:
-        return tuple((1, tuple(1 if j == i else 0 for j in range(d)))
-                     for i in range(d))
-    terms = []
-    for mask in range(1, 1 << d):
-        e = tuple((mask >> i) & 1 for i in range(d))
-        sign = -1 if sum(e) % 2 == 0 else 1
-        terms.append((sign, e))
-    return tuple(terms)
-
-
 def _box(s):
     return cartesian(*(range(si + 1) for si in s))
 
 
-@lru_cache(maxsize=None)
-def _a_comm_unary(d: int, r: int, s: tuple[int, ...]) -> int:
-    if r <= 0 or any(si < 0 for si in s):
-        return 0
-    if r == 1:
-        return 1
-    total = _a_comm_unary(d, r - 1, s)
-    for sign, e in _signed_indicators(d, True):
-        s2 = tuple(si - ei for si, ei in zip(s, e))
-        if any(si < 0 for si in s2):
-            continue
-        term = _a_comm_unary(d, r, s2)
-        for i in range(1, r):
-            for alpha in _box(s2):
-                left = _a_comm_unary(d, i, alpha)
-                if left:
-                    rest = tuple(si - ai for si, ai in zip(s2, alpha))
-                    term += left * _a_comm_unary(d, r - i, rest)
-        total += sign * term
-    return total
-
-
-def count_comm_unary(d: int, r: int, s) -> int:
-    """Canonical monomials (weakly increasing unary chains) of degree r and
-    multiplicity s.  Degree 1 always counts exactly one monomial."""
-    s = _check_args(d, r, s)
-    return _a_comm_unary(d, r, s)
+def _sub(s, t) -> tuple[int, ...]:
+    return tuple(si - ti for si, ti in zip(s, t))
 
 
 # ---------------------------------------------------------------------------
+# The unary layer.  ``commuting`` is Regime.unary_commute; the caches are
+# keyed by plain bools and ints, since hashing a Regime runs in Python.
+
+@lru_cache(maxsize=None)
+def layer_indicators(commuting: bool, d: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(sign, e) pairs of one layer in the multigraded grading: the d unit
+    vectors with sign +1, or the indicator vectors of the nonempty label
+    subsets with sign (-1)^(|e|+1)."""
+    if not commuting:
+        return tuple((1, tuple(int(j == i) for j in range(d))) for i in range(d))
+    return tuple((1 if sum(e) % 2 else -1, e)
+                 for e in cartesian((0, 1), repeat=d) if any(e))
+
+
+def layer_lengths(commuting: bool, d: int, n_max: int) -> dict[int, int]:
+    """{length: coefficient} of one layer up to length n_max: {2: d}, or
+    {2j: (-1)^(j+1) C(d, j)} from 1 - (1 - z^2)^d, one binomial per term."""
+    if not commuting:
+        return {2: d}
+    return {2 * j: (-1) ** (j + 1) * math.comb(d, j)
+            for j in range(1, min(d, n_max // 2) + 1)}
+
+
+def layer_weight(commuting: bool, d: int, z):
+    """w(z) in product form, which keeps its precision at large d."""
+    return 1 - (1 - z * z) ** d if commuting else d * z * z
+
+
+# ---------------------------------------------------------------------------
+# Multigraded counts.  Noncommutative product: B = x*(1 + B) + w*(B + B^2),
+# where x marks the degree and w is the layer.
+
+@lru_cache(maxsize=None)
+def _sequence_a(commuting: bool, d: int, r: int, s: tuple[int, ...]) -> int:
+    # coefficient of x^r u^s in B
+    if r < 1:
+        return 0
+    total = 1 if r == 1 and not any(s) else 0
+    total += _sequence_a(commuting, d, r - 1, s)
+    for sign, e in layer_indicators(commuting, d):
+        s2 = _sub(s, e)
+        if min(s2) >= 0:
+            total += sign * _sequence_p(commuting, d, r, s2)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _sequence_p(commuting: bool, d: int, r: int, s: tuple[int, ...]) -> int:
+    # coefficient of x^r u^s in B + B^2
+    total = _sequence_a(commuting, d, r, s)
+    for i in range(1, r):
+        for alpha in _box(s):
+            left = _sequence_a(commuting, d, i, alpha)
+            if left:
+                total += left * _sequence_a(commuting, d, r - i, _sub(s, alpha))
+    return total
+
+
 # Commutative product: multiset-of-atoms decomposition, so the counts obey
 # an Euler-transform recurrence driven by the atom counts.
 
@@ -131,11 +164,10 @@ def _divisors(n: int) -> tuple[int, ...]:
 def _euler_abar(commuting: bool, d: int, r: int, s: tuple[int, ...]) -> int:
     # atoms: the indeterminate, or one unary layer over a general monomial
     val = 1 if (r == 1 and not any(s)) else 0
-    for sign, e in _signed_indicators(d, commuting):
-        s2 = tuple(si - ei for si, ei in zip(s, e))
-        if any(si < 0 for si in s2):
-            continue
-        val += sign * _euler_a(commuting, d, r, s2)
+    for sign, e in layer_indicators(commuting, d):
+        s2 = _sub(s, e)
+        if min(s2) >= 0:
+            val += sign * _euler_a(commuting, d, r, s2)
     return val
 
 
@@ -160,8 +192,7 @@ def _euler_a(commuting: bool, d: int, r: int, s: tuple[int, ...]) -> int:
         for alpha in _box(s):
             c = _euler_c(commuting, d, j, alpha)
             if c:
-                rest = tuple(si - ai for si, ai in zip(s, alpha))
-                total += c * _euler_a(commuting, d, r - j, rest)
+                total += c * _euler_a(commuting, d, r - j, _sub(s, alpha))
     q, rem = divmod(total, r)
     if rem:
         raise SelfCheckError(
@@ -169,28 +200,44 @@ def _euler_a(commuting: bool, d: int, r: int, s: tuple[int, ...]) -> int:
     return q
 
 
+def count(regime: Regime, d: int, r: int, s) -> int:
+    """Monomials of degree r and multiplicity s.  The product switch picks
+    the multiset or the sequence recurrence and the unary switch its layer;
+    the free regime answers by its closed form."""
+    s = _check_args(d, r, s)
+    if regime.mult_commute:
+        return _euler_a(regime.unary_commute, d, r, s)
+    if regime.unary_commute:
+        # fill the box in order, so each step finds its terms cached and
+        # the recursion stays shallow at any size
+        for r2 in range(1, r + 1):
+            for s2 in _box(s):
+                _sequence_a(True, d, r2, s2)
+        return _sequence_a(True, d, r, s)
+    k = sum(s)
+    return multinomial(s) * narayana(r + k, k)
+
+
+def count_free(d: int, r: int, s) -> int:
+    """Monomials of degree r, multiplicity s, nothing commuting: the
+    multinomial refinement of the one-operator Narayana count."""
+    return count(Regime.FREE, d, r, s)
+
+
+def count_comm_unary(d: int, r: int, s) -> int:
+    """Canonical monomials (weakly increasing unary chains) of degree r and
+    multiplicity s.  Degree 1 always counts exactly one monomial."""
+    return count(Regime.COMM_UNARY, d, r, s)
+
+
 def count_comm_mult(d: int, r: int, s) -> int:
     """Monomials up to commutativity of the product (unary operators free)."""
-    s = _check_args(d, r, s)
-    return _euler_a(False, d, r, s)
+    return count(Regime.COMM_MULT, d, r, s)
 
 
 def count_comm_both(d: int, r: int, s) -> int:
     """Monomials up to commutativity of both the product and the operators."""
-    s = _check_args(d, r, s)
-    return _euler_a(True, d, r, s)
-
-
-_COUNTERS = {
-    Regime.FREE: count_free,
-    Regime.COMM_UNARY: count_comm_unary,
-    Regime.COMM_MULT: count_comm_mult,
-    Regime.COMM_BOTH: count_comm_both,
-}
-
-
-def count(regime: Regime, d: int, r: int, s) -> int:
-    return _COUNTERS[regime](d, r, s)
+    return count(Regime.COMM_BOTH, d, r, s)
 
 
 # ---------------------------------------------------------------------------
@@ -251,57 +298,39 @@ def free_length_closed_table(d: int, ell: int, n_max: int) -> list[int]:
     return table
 
 
-def _free_values_recurrence(d: int, ell: int, n_max: int) -> list[int]:
+def _sequence_values(layer: dict[int, int], ell: int, n_max: int) -> list[int]:
+    # B = z^ell*(1 + B) + w*(B + B^2); p holds the coefficients of B + B^2,
+    # each formed once
     b = [0] * (n_max + 1)
+    p = [0] * (n_max + 1)
     for n in range(1, n_max + 1):
         v = 1 if n == ell else 0
-        if n - ell >= 1:
+        if n > ell:
             v += b[n - ell]
-        if n - 2 >= 1:
-            v += d * b[n - 2]
-        v += d * sum(b[i] * b[n - 2 - i] for i in range(1, n - 2))
+        for shift, coeff in layer.items():
+            if shift < n:
+                v += coeff * p[n - shift]
         b[n] = v
+        p[n] = v + sum(map(mul, b[1:n], b[n - 1:0:-1]))
     return b
 
 
-def _comm_unary_values(d: int, ell: int, n_max: int) -> list[int]:
-    b = [0] * (n_max + 1)
-    if ell <= n_max:
-        b[ell] = 1
-    for n in range(ell + 1, n_max + 1):
-        v = b[n - ell] if n - ell >= 1 else 0
-        for j in range(1, min(d, n // 2) + 1):
-            sign = 1 if j % 2 == 1 else -1
-            t = b[n - 2 * j] if n - 2 * j >= 1 else 0
-            t += sum(b[i] * b[n - 2 * j - i] for i in range(1, n - 2 * j))
-            v += sign * math.comb(d, j) * t
-        b[n] = v
-    return b
-
-
-def _euler_values(commuting: bool, d: int, ell: int, n_max: int) -> list[int]:
-    # one unary layer contributes these (coefficient, length-shift) pairs
-    if commuting:
-        layer = [((1 if j % 2 == 1 else -1) * math.comb(d, j), 2 * j)
-                 for j in range(1, d + 1)]
-    else:
-        layer = [(d, 2)]
+def _euler_values(layer: dict[int, int], ell: int, n_max: int) -> list[int]:
+    # 1 + B = exp(sum_j Bbar(z^j)/j) with atoms Bbar = z^ell + w*B
     b = [0] * (n_max + 1)
     bbar = [0] * (n_max + 1)
     c = [0] * (n_max + 1)
     for n in range(1, n_max + 1):
         v = 1 if n == ell else 0
-        for coeff, shift in layer:
-            if n - shift >= 1:
+        for shift, coeff in layer.items():
+            if shift < n:
                 v += coeff * b[n - shift]
         bbar[n] = v
         c[n] = sum(k * bbar[k] for k in _divisors(n))
-        total = c[n] + sum(c[k] * b[n - k] for k in range(1, n))
-        q, rem = divmod(total, n)
+        q, rem = divmod(c[n] + sum(map(mul, c[1:n], b[n - 1:0:-1])), n)
         if rem:
             raise SelfCheckError(
-                f"Euler length recurrence not divisible by n={n} "
-                f"(d={d}, ell={ell}, commuting={commuting})")
+                f"Euler length recurrence not divisible by n={n} (ell={ell})")
         b[n] = q
     return b
 
@@ -314,20 +343,35 @@ def length_sequence(regime: Regime, d: int, ell: int, n_max: int) -> LengthSeque
     """
     if d < 1 or ell < 1 or n_max < 1:
         raise ValueError("d, ell and n_max must all be >= 1")
+    layer = layer_lengths(regime.unary_commute, d, n_max)
+    solve = _euler_values if regime.mult_commute else _sequence_values
+    values = solve(layer, ell, n_max)
     if regime is Regime.FREE:
-        values = _free_values_recurrence(d, ell, n_max)
         closed = free_length_closed_table(d, ell, n_max)
         for n in range(1, n_max + 1):
             if closed[n] != values[n]:
                 raise SelfCheckError(
                     f"free length count mismatch at n={n}: "
                     f"closed sum {closed[n]} vs recurrence {values[n]}")
-    elif regime is Regime.COMM_UNARY:
-        values = _comm_unary_values(d, ell, n_max)
-    else:
-        values = _euler_values(regime is Regime.COMM_BOTH, d, ell, n_max)
     if ell % 2 == 0 and any(values[n] for n in range(1, n_max + 1, 2)):
         raise SelfCheckError("even indeterminate length but odd-length count nonzero")
     if ell <= n_max and values[ell] != 1:
         raise SelfCheckError(f"count at the minimal length {ell} is not 1")
     return LengthSequence(regime, d, ell, tuple(values))
+
+
+def table_prefix(regime: Regime, d: int, ell: int, count: int, offset: int = 1,
+                 raw: bool = False) -> list[int]:
+    """``count`` terms of the table from position ``offset`` (0 or 1).
+
+    Position 0 is the empty object, with value 1.  Position p >= 1 is the
+    count at length 2p when ell is even (odd lengths are empty then) and at
+    length p otherwise, or at length p whatever ell when ``raw``."""
+    if count < 1:
+        raise ValueError("the number of terms must be >= 1")
+    if offset not in (0, 1):
+        raise ValueError("offset must be 0 or 1")
+    step = 1 if raw or ell % 2 else 2
+    last = offset + count - 1
+    values = length_sequence(regime, d, ell, step * max(last, 1)).values
+    return [1 if pos == 0 else values[step * pos] for pos in range(offset, last + 1)]

@@ -92,18 +92,8 @@ def bundled_fixtures() -> list[FixtureEntry]:
 def computed_prefix(entry: FixtureEntry) -> list[int]:
     """Recompute the values the entry claims, in the same indexing."""
     if entry.kind == "seq":
-        if entry.offset not in (0, 1):
-            raise ValueError("seq offset must be 0 or 1")
-        step = 2 if entry.ell % 2 == 0 else 1
-        last_pos = entry.offset + len(entry.terms) - 1
-        out = []
-        if last_pos >= 1:
-            seq = counting.length_sequence(entry.regime, entry.d, entry.ell,
-                                           step * last_pos)
-            table = seq.table_terms()
-        for pos in range(entry.offset, last_pos + 1):
-            out.append(1 if pos == 0 else table[pos - 1])
-        return out
+        return counting.table_prefix(entry.regime, entry.d, entry.ell,
+                                     len(entry.terms), entry.offset)
     if entry.kind == "arow":
         return [counting.count(entry.regime, 1, entry.r, (k,))
                 for k in range(len(entry.terms))]

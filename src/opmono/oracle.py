@@ -13,9 +13,9 @@ already a canonical fixed point and no deduplication is needed.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as cartesian
 
 from . import counting
+from .counting import _box, _sub
 from .monomial import STAR, Monomial, Product, Regime, Star, Unary, canonical_key, factors
 
 
@@ -28,14 +28,6 @@ class EnumerationCapExceeded(RuntimeError):
 
 
 DEFAULT_CAP = 10 ** 7
-
-
-def _box(s):
-    return cartesian(*(range(si + 1) for si in s))
-
-
-def _sub(s, t):
-    return tuple(si - ti for si, ti in zip(s, t))
 
 
 def _wrap_chain(t, root: Monomial) -> Monomial:
@@ -126,6 +118,7 @@ def _multiset_monomials(regime: Regime, d: int, r: int, s: tuple[int, ...]) -> l
                 picked.pop()
 
     choose(0, r, s)
+    del choose  # break its self-reference, so cands is freed now, not by the cyclic GC
     return out
 
 

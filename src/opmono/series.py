@@ -1,7 +1,8 @@
 """Truncated one-variable formal power series with exact coefficients, plus
 solvers for the generating-function equations of the four regimes.
 
-The series route is independent of the counting recurrences.  Everything
+The series route is independent of the counting recurrences; it shares
+only the unary layer, read from :func:`counting.layer_lengths`.  Everything
 runs on plain coefficient lists through a handful of shared kernels:
 truncated multiplication, the inverse of a series with unit constant term,
 the exponential from its log-derivative, and the square root.  On ``int``
@@ -31,12 +32,11 @@ full order.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import mul
 from typing import Callable
 
-from .counting import SelfCheckError
+from .counting import SelfCheckError, layer_lengths
 from .monomial import Regime
 
 
@@ -132,14 +132,9 @@ def _term(k: int, n: int, c: int = 1) -> list:
 
 
 def _layer(regime: Regime, d: int, n: int) -> list:
-    # one layer of unary labels: d*z^2 when the operators are free,
-    # 1 - (1 - z^2)^d = sum_j (-1)^(j+1) C(d, j) z^(2j) when they commute
-    if not regime.unary_commute:
-        return _term(2, n, d)
-    out = [0] * n
-    for j in range(1, min(d, (n - 1) // 2) + 1):
-        out[2 * j] = (-1) ** (j + 1) * math.comb(d, j)
-    return out
+    # one layer of unary labels, from counting's length form
+    form = layer_lengths(regime.unary_commute, d, n - 1)
+    return [form.get(k, 0) for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +316,7 @@ def solve_quadratic_fe(regime: Regime, d: int, ell: int, order: int) -> Series:
     B = z^ell + z^ell*B + w*(B + B^2), where w is the unary-layer weight of
     ``regime`` (FREE or COMM_UNARY), by precision-doubling Newton iteration
     on the quadratic over the integers."""
-    if regime not in (Regime.FREE, Regime.COMM_UNARY):
+    if regime.mult_commute:
         raise ValueError("quadratic functional equation applies to the "
                          "noncommutative-product regimes only")
     _check_args(ell, order, d)
@@ -396,7 +391,7 @@ def euler_exp_log(atom_series: Callable[[Series], Series], ell: int,
 def euler_series(regime: Regime, d: int, ell: int, order: int) -> Series:
     """Length-graded series for the commutative-product regimes via the
     exp-log construction."""
-    if regime not in (Regime.COMM_MULT, Regime.COMM_BOTH):
+    if not regime.mult_commute:
         raise ValueError("the exp-log construction applies to the "
                          "commutative-product regimes only")
     _check_args(ell, order, d)
@@ -405,21 +400,6 @@ def euler_series(regime: Regime, d: int, ell: int, order: int) -> Series:
 
 
 def series_for(regime: Regime, d: int, ell: int, order: int) -> Series:
-    if regime in (Regime.FREE, Regime.COMM_UNARY):
+    if not regime.mult_commute:
         return solve_quadratic_fe(regime, d, ell, order)
     return euler_series(regime, d, ell, order)
-
-
-def check_symmetry_a1(order: int) -> bool:
-    """Coefficient symmetry of the one-operator bivariate count: the count
-    at degree r with k operator slots equals the count at degree k+1 with
-    r-1 slots.  Checked over all total orders r + k <= order."""
-    from .counting import narayana
-
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    for r in range(1, order + 1):
-        for k in range(0, order - r + 1):
-            if narayana(r + k, k) != narayana(r + k, r - 1):
-                return False
-    return True

@@ -3,6 +3,8 @@ sweep iterators."""
 
 from __future__ import annotations
 
+import gc
+
 from opmono import STAR, Monomial, Product, Star, Unary, compositions, product
 
 
@@ -64,3 +66,15 @@ def multidegrees(d: int, max_total: int):
         for k in range(max_total - r + 1):
             for s in compositions(k, d):
                 yield r, s
+
+
+def cyclic_garbage(fn, *args) -> int:
+    """Objects that only the cyclic collector can free after fn(*args) and
+    its result are dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn(*args)
+        return gc.collect()
+    finally:
+        gc.enable()

@@ -107,3 +107,16 @@ def test_bad_arguments():
         growth_free(1, 1, tol=0)
     with pytest.raises(ValueError):
         growth_estimate(Regime.COMM_MULT, 1, 2, 0)
+
+
+def test_many_commuting_operators_root():
+    # w(rho) = 1 - (1 - rho^2)^d in product form; the expanded alternating
+    # binomial sum would lose about d bits of the working precision
+    import mpmath
+
+    res = growth(Regime.COMM_UNARY, 200, 2)
+    with mpmath.workprec(192):
+        z = res.rho
+        resid = (1 - z * z) ** 200 + z ** 2 - 2 * z
+    assert abs(resid) < 1e-11
+    assert abs(float(res.g) - 10.7713720039) < 1e-9

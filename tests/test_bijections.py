@@ -31,7 +31,7 @@ from opmono import (
     word_length,
 )
 from opmono.bijections import OrderedTree, binary_tree_text, path_from_text
-from helpers import multidegrees
+from helpers import cyclic_garbage, multidegrees
 
 
 def small_monomials(d=2, max_total=5):
@@ -134,6 +134,15 @@ class TestPaths:
                 assert matched_ascent_monotone(p) == (
                     canonicalize(m, Regime.COMM_UNARY) == m)
 
+    def test_bad_sizes_rejected(self):
+        for args in [(1, 0, 3), (0, 1, 3), (1, 1, -1)]:
+            with pytest.raises(ValueError):
+                all_lattice_paths(*args)
+        assert all_lattice_paths(1, 1, 0) == [LatticePath(())]
+
+    def test_generator_leaves_no_cyclic_garbage(self):
+        assert cyclic_garbage(all_lattice_paths, 2, 1, 8) == 0
+
     def test_model_side_count_small_schroeder(self):
         # unfiltered two-label peakless paths of span 2n, ell=2
         want = length_sequence(Regime.FREE, 2, 2, 8).table_terms()
@@ -187,6 +196,12 @@ class TestBinaryTrees:
     def test_empty(self):
         assert to_binary_tree(None) is None
         assert from_binary_tree(None, 3) is None
+
+    def test_bad_sizes_rejected(self):
+        for n, d in [(3, 0), (-1, 2)]:
+            with pytest.raises(ValueError):
+                all_binary_trees(n, d)
+        assert all_binary_trees(0, 1) == [None]
 
     def test_round_trip_all_small(self):
         for m in small_monomials():

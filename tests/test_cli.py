@@ -197,6 +197,33 @@ class TestUsageErrors:
                            "--r", "2", "--s", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["paths", "--d", "1", "--ell", "0", "--span", "4"],
+        ["paths", "--d", "0", "--ell", "1", "--span", "4"],
+        ["paths", "--d", "1", "--ell", "1", "--span", "-1"],
+        ["trees", "--d", "0", "--vertices", "3"],
+        ["trees", "--d", "1", "--vertices", "-1"],
+    ], ids=["paths-ell0", "paths-d0", "paths-span-neg", "trees-d0", "trees-neg"])
+    def test_bad_model_sizes(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--regime", "free", "--d", "1", "--rmax", "0", "--smax", "2"],
+        ["table", "--regime", "c", "--d", "2", "--rmax", "2", "--smax", "-1"],
+        ["bfile", "--regime", "free", "--d", "1", "--ell", "2", "--terms", "0"],
+        ["bfile", "--regime", "m", "--d", "1", "--ell", "2", "--terms", "0",
+         "--raw-length"],
+        ["bfile", "--regime", "cm", "--d", "1", "--ell", "1", "--terms", "0",
+         "--offset", "0"],
+    ], ids=["table-rmax0", "table-smax-neg", "bfile-terms0", "bfile-raw-terms0",
+            "bfile-offset0-terms0"])
+    def test_empty_requests(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestFixtureParsing:
     def test_parse_errors(self):

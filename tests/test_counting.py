@@ -1,8 +1,11 @@
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from opmono import counting
 from opmono import (
     Regime,
     count,
@@ -189,3 +192,71 @@ class TestLengthSequences:
             length_sequence(Regime.FREE, 0, 1, 5)
         with pytest.raises(ValueError):
             length_sequence(Regime.FREE, 1, 0, 5)
+
+
+class TestUnaryLayer:
+    """The one place the unary-layer weight is written, in its three forms."""
+
+    def test_indicators_group_into_the_length_form(self):
+        # summing the signed indicator vectors by |e| gives the length form
+        for commuting in (False, True):
+            for d in range(1, 7):
+                grouped = {}
+                for sign, e in counting.layer_indicators(commuting, d):
+                    grouped[2 * sum(e)] = grouped.get(2 * sum(e), 0) + sign
+                assert grouped == counting.layer_lengths(commuting, d, 2 * d)
+
+    def test_product_form_matches_length_form(self):
+        for commuting in (False, True):
+            for d in range(1, 9):
+                z = Fraction(1, 3)
+                want = sum(c * z ** k for k, c in
+                           counting.layer_lengths(commuting, d, 2 * d).items())
+                assert counting.layer_weight(commuting, d, z) == want
+
+    def test_length_form_is_truncated_not_enumerated(self):
+        assert counting.layer_lengths(True, 10 ** 6, 6) == {
+            2: 10 ** 6, 4: -(10 ** 6) * (10 ** 6 - 1) // 2,
+            6: (10 ** 6) * (10 ** 6 - 1) * (10 ** 6 - 2) // 6}
+
+    def test_free_layer_sequence_route_matches_closed_form(self):
+        # the sequence recurrence with the free layer is a second
+        # multigraded route to multinomial * narayana
+        for d in (1, 2, 3):
+            for r, s in multidegrees(d, 10):
+                assert counting._sequence_a(False, d, r, s) == count_free(d, r, s)
+
+    def test_comm_unary_deep_cells_within_default_recursion_limit(self):
+        counting._sequence_a.cache_clear()
+        counting._sequence_p.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert count_comm_unary(1, 2, (600,)) == count_free(1, 2, (600,))
+            assert count_comm_unary(1, 700, (0,)) == 1
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+class TestTablePrefix:
+    def test_matches_table_terms(self):
+        for regime in Regime:
+            for ell in (1, 2, 3):
+                step = 2 if ell % 2 == 0 else 1
+                terms = length_sequence(regime, 2, ell, step * 9).table_terms()
+                assert counting.table_prefix(regime, 2, ell, 9) == terms
+                assert counting.table_prefix(regime, 2, ell, 10, 0) == [1] + terms
+
+    def test_raw_indexes_by_word_length(self):
+        seq = length_sequence(Regime.COMM_MULT, 2, 2, 8)
+        assert counting.table_prefix(Regime.COMM_MULT, 2, 2, 8, raw=True) == \
+            list(seq.values[1:])
+        assert counting.table_prefix(Regime.COMM_MULT, 2, 2, 1, 0, raw=True) == [1]
+
+    def test_rejects_empty_and_bad_offset(self):
+        with pytest.raises(ValueError):
+            counting.table_prefix(Regime.FREE, 1, 2, 0)
+        with pytest.raises(ValueError):
+            counting.table_prefix(Regime.FREE, 1, 2, 0, raw=True)
+        with pytest.raises(ValueError):
+            counting.table_prefix(Regime.FREE, 1, 2, 3, 2)

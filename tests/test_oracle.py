@@ -14,7 +14,7 @@ from opmono import (
     multiplicity,
     parse_monomial,
 )
-from helpers import multidegrees
+from helpers import cyclic_garbage, multidegrees
 
 QUARTET = {
     Regime.FREE: 30,
@@ -105,3 +105,8 @@ def test_multiset_cells_within_default_recursion_limit(regime, r, s, want):
     finally:
         sys.setrecursionlimit(limit)
     assert len(got) == len(set(got)) == want == count(regime, 2, r, s)
+
+
+def test_multiset_generator_leaves_no_cyclic_garbage():
+    oracle._monomials.cache_clear()
+    assert cyclic_garbage(enumerate_monomials, 2, 4, (2, 2), Regime.COMM_MULT) == 0

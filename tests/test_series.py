@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from opmono import (
     solve_quadratic_fe,
     unary_layer_series,
 )
+from opmono.counting import layer_lengths
 
 
 def int_series(order=12):
@@ -152,6 +154,32 @@ def test_order_200_smoke(regime):
     assert ser.order == 200
     assert ser.coeff(2) == 1 and ser.coeff(199) == 0
     assert all(c.denominator == 1 for c in ser.coeffs)
+
+
+@pytest.mark.parametrize("regime", list(Regime), ids=[r.value for r in Regime])
+def test_unary_layer_series_is_the_shared_length_form(regime):
+    for d in range(1, 7):
+        order = 2 * d + 2
+        got = unary_layer_series(regime, d, order)
+        form = layer_lengths(regime.unary_commute, d, order)
+        assert got.integer_coeffs() == [form.get(k, 0) for k in range(order + 1)]
+        z2 = Series.term(order, 2)
+        want = Series.term(order, 0) - (Series.term(order, 0) - z2).power(d) \
+            if regime.unary_commute else z2.scaled(d)
+        assert got == want
+
+
+@pytest.mark.parametrize("regime", [Regime.COMM_UNARY, Regime.COMM_BOTH],
+                         ids=["c", "cm"])
+def test_many_commuting_operators(regime):
+    # the commuting layer has 2^d - 1 label sets; its length form must be
+    # built from d binomials, never by listing the sets
+    start = time.perf_counter()
+    seq = length_sequence(regime, 40, 2, 40)
+    ser = series_for(regime, 40, 2, 40)
+    assert time.perf_counter() - start < 1.0
+    assert list(ser.coeffs) == list(seq.values)
+    assert seq.value(4) == 1 + 40  # z^2 twice, or one label over z^2
 
 
 class TestSeriesArguments:
