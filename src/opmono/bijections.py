@@ -392,4 +392,5 @@ def all_dyck_paths(semilength: int) -> list[tuple[int, ...]]:
             steps.pop()
 
     go(semilength, 0)
+    del go  # break its self-reference, so no cycle holds out after the caller drops it
     return out

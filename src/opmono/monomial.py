@@ -5,34 +5,42 @@ product and ``d`` unary operators ``P1 .. Pd``.  Products are stored
 flattened: the factors of a :class:`Product` are atoms (the indeterminate or
 a unary application), so associativity never needs a quotient.
 
+The bracketed word is the one walk of the term algebra: :func:`encode_word`
+reads it with one explicit stack (the walks dispatch on the exact node type),
+the gradings, the text form, equality and hashing read its tokens, and
+:func:`decode_word` is the only parser (:func:`parse_monomial` lexes text
+into tokens for it).  Nothing recurses, so depth is bounded only by memory.
+
 Four commutativity regimes are supported.  Making the unary operators
 commute and/or the product commute turns monomials into equivalence
 classes; :func:`canonicalize` picks the canonical representative of each
 class (weakly increasing unary chains, and/or product factors sorted by
-:func:`canonical_key`).
+:func:`canonical_key`).  The key is a flat preorder code: ``*`` is 0,
+``Pi(c)`` is 1, i, code(c), and a product is 2, its factors' codes, -1.
+Distinct codes of a prefix code differ inside both, and -1 sorts below every
+tag, so tuple order on codes is the order of the nested keys (0,),
+(1, i, key(c)) and (2, key(f1), key(f2), ...).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 
 class Regime(Enum):
-    """Commutativity regime.  Values double as the CLI codes."""
+    """Commutativity regime, two switches.  Values double as the CLI codes."""
 
     FREE = "free"          # nothing commutes
     COMM_UNARY = "c"       # unary operators commute
     COMM_MULT = "m"        # multiplication commutes
     COMM_BOTH = "cm"       # both commute
 
-    @property
-    def unary_commute(self) -> bool:
-        return self in (Regime.COMM_UNARY, Regime.COMM_BOTH)
-
-    @property
-    def mult_commute(self) -> bool:
-        return self in (Regime.COMM_MULT, Regime.COMM_BOTH)
+    def __init__(self, code: str) -> None:
+        self.unary_commute = code in ("c", "cm")
+        self.mult_commute = code in ("m", "cm")
 
     @classmethod
     def from_code(cls, code: str) -> "Regime":
@@ -44,20 +52,28 @@ class Regime(Enum):
 
 
 class Monomial:
-    """Base class; concrete nodes are Star, Unary and Product."""
+    """Base of Star, Unary and Product; equal when their words are equal."""
 
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        return self is other or encode_word(self) == encode_word(other)
+
+    def __hash__(self) -> int:
+        return hash(encode_word(self))
 
     def __repr__(self) -> str:
         return f"Monomial({format_monomial(self)!r})"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Star(Monomial):
     pass
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Unary(Monomial):
     label: int
     child: Monomial
@@ -67,7 +83,7 @@ class Unary(Monomial):
             raise ValueError(f"unary label must be >= 1, got {self.label}")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Product(Monomial):
     factors: tuple[Monomial, ...]
 
@@ -104,25 +120,9 @@ def product(parts) -> Monomial:
     return Product(tuple(flat))
 
 
-def concat(a: Monomial, b: Monomial) -> Monomial:
-    return product((a, b))
-
-
 def degree(m: Monomial) -> int:
     """Number of occurrences of the indeterminate."""
-    if isinstance(m, Star):
-        return 1
-    if isinstance(m, Unary):
-        return degree(m.child)
-    return sum(degree(f) for f in m.factors)
-
-
-def count_unary(m: Monomial) -> int:
-    if isinstance(m, Star):
-        return 0
-    if isinstance(m, Unary):
-        return 1 + count_unary(m.child)
-    return sum(count_unary(f) for f in m.factors)
+    return encode_word(m).count(0)
 
 
 def multiplicity(m: Monomial, d: int) -> tuple[int, ...]:
@@ -131,33 +131,40 @@ def multiplicity(m: Monomial, d: int) -> tuple[int, ...]:
     Raises ValueError if some label exceeds ``d``.
     """
     s = [0] * d
-    def walk(v: Monomial) -> None:
-        if isinstance(v, Unary):
-            if v.label > d:
-                raise ValueError(f"label {v.label} out of range [1, {d}]")
-            s[v.label - 1] += 1
-            walk(v.child)
-        elif isinstance(v, Product):
-            for f in v.factors:
-                walk(f)
-    walk(m)
+    for t in encode_word(m):
+        if t > 0:
+            if t > d:
+                raise ValueError(f"label {t} out of range [1, {d}]")
+            s[t - 1] += 1
     return tuple(s)
 
 
 def word_length(m: Monomial, ell: int) -> int:
     """Length of the bracketed word when ``*`` has length ``ell`` and every
     delimiter has length 1."""
-    return ell * degree(m) + 2 * count_unary(m)
+    w = encode_word(m)
+    return (ell - 1) * w.count(0) + len(w)
 
 
-def canonical_key(m: Monomial):
-    """Total order on monomials: nested tuples comparing Star < Unary < Product,
-    unary nodes by (label, child), products by their factor lists."""
-    if isinstance(m, Star):
-        return (0,)
-    if isinstance(m, Unary):
-        return (1, m.label, canonical_key(m.child))
-    return (2,) + tuple(canonical_key(f) for f in m.factors)
+def canonical_key(m: Monomial) -> tuple[int, ...]:
+    """Total order on monomials, Star < Unary < Product, unary nodes by
+    (label, child), products by factor lists, as a flat preorder code."""
+    out: list[int] = []
+    todo: list = [m]  # subterms still to read, and pending product ends (-1)
+    while todo:
+        v = todo.pop()
+        if type(v) is int:
+            out.append(v)
+        elif type(v) is Unary:
+            out += (1, v.label)
+            todo.append(v.child)
+        elif type(v) is Star:
+            out.append(0)
+        else:
+            out.append(2)
+            todo.append(-1)
+            todo.extend(reversed(v.factors))
+    return tuple(out)
 
 
 def canonicalize(m: Monomial, regime: Regime) -> Monomial:
@@ -166,37 +173,51 @@ def canonicalize(m: Monomial, regime: Regime) -> Monomial:
     FREE is the identity.  When the unary operators commute, every maximal
     chain of nested unary nodes is sorted into weakly increasing labels read
     from the outside in.  When multiplication commutes, every product's
-    factor list is sorted by :func:`canonical_key`.  Applied recursively
-    bottom-up; idempotent.
+    factor list is sorted by :func:`canonical_key`.  Built bottom-up;
+    idempotent.
     """
     if regime is Regime.FREE:
         return m
-
-    def go(v: Monomial) -> Monomial:
-        if isinstance(v, Star):
-            return v
-        if isinstance(v, Unary):
-            if not regime.unary_commute:
-                return Unary(v.label, go(v.child))
+    # finished subterms with their keys, so no product reads its factors again
+    done: list[tuple[Monomial, list[int]]] = []
+    # subterms to visit, and frames to finish after their subterms: a label
+    # list (outside in) for a maximal unary chain, a factor count for a product
+    todo: list = [m]
+    while todo:
+        v = todo.pop()
+        if type(v) is Star:
+            done.append((v, [0]))
+        elif type(v) is Unary:
             labels = []
-            cur: Monomial = v
-            while isinstance(cur, Unary):
-                labels.append(cur.label)
-                cur = cur.child
-            out = go(cur)
-            for lab in sorted(labels, reverse=True):
-                out = Unary(lab, out)
-            return out
-        fs = [go(f) for f in v.factors]
-        if regime.mult_commute:
-            fs.sort(key=canonical_key)
-        return Product(tuple(fs))
-
-    return go(m)
+            while type(v) is Unary:
+                labels.append(v.label)
+                v = v.child
+            todo += (labels, v)
+        elif type(v) is Product:
+            todo.append(len(v.factors))
+            todo.extend(reversed(v.factors))
+        elif type(v) is int:
+            fs = done[-v:]
+            del done[-v:]
+            if regime.mult_commute:
+                fs.sort(key=itemgetter(1))
+            key = [2]
+            for _, k in fs:
+                key += k
+            key.append(-1)
+            done.append((Product(tuple([f for f, _ in fs])), key))
+        else:
+            if regime.unary_commute:
+                v.sort()
+            out, key = done.pop()
+            for label in reversed(v):
+                out = Unary(label, out)
+            done.append((out, [x for label in v for x in (1, label)] + key))
+    return done[0][0]
 
 
 def is_canonical(m: Monomial, regime: Regime) -> bool:
-    return canonicalize(m, regime) == m
+    return encode_word(canonicalize(m, regime)) == encode_word(m)
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +228,18 @@ def is_canonical(m: Monomial, regime: Regime) -> bool:
 
 def encode_word(m: Monomial) -> tuple[int, ...]:
     out: list[int] = []
-    def walk(v: Monomial) -> None:
-        if isinstance(v, Star):
-            out.append(0)
-        elif isinstance(v, Unary):
+    todo: list = [m]  # subterms still to read, and pending closing tokens
+    while todo:
+        v = todo.pop()
+        if type(v) is int:
+            out.append(v)
+        elif type(v) is Unary:
             out.append(v.label)
-            walk(v.child)
-            out.append(-v.label)
+            todo += (-v.label, v.child)
+        elif type(v) is Star:
+            out.append(0)
         else:
-            for f in v.factors:
-                walk(f)
-    walk(m)
+            todo.extend(reversed(v.factors))
     return tuple(out)
 
 
@@ -227,51 +249,32 @@ def decode_word(tokens, d: int) -> Monomial:
     Raises ValueError on unbalanced delimiters, an empty delimiter interior,
     or a label outside [1, d].
     """
-    tokens = tuple(tokens)
-    pos = 0
-
-    def parse_seq(closing: int) -> Monomial:
-        # parse atoms until the expected closing token (0 = end of input)
-        nonlocal pos
-        parts: list[Monomial] = []
-        while pos < len(tokens) and tokens[pos] >= 0:
-            t = tokens[pos]
-            if t == 0:
-                parts.append(STAR)
-                pos += 1
-            else:
-                if not 1 <= t <= d:
-                    raise ValueError(f"label {t} out of range [1, {d}]")
-                pos += 1
-                inner = parse_seq(-t)
-                parts.append(Unary(t, inner))
-        if closing != 0:
-            if pos >= len(tokens) or tokens[pos] != closing:
-                raise ValueError("unbalanced delimiters")
-            pos += 1
-        if not parts:
-            if closing != 0:
-                raise ValueError("empty delimiter interior")
-            raise ValueError("empty word")
-        return product(parts)
-
-    m = parse_seq(0)
-    if pos != len(tokens):
-        raise ValueError("unbalanced delimiters: trailing tokens")
-    return m
+    label, parts = 0, []  # the innermost open delimiter and the atoms inside it
+    outer: list[tuple[int, list[Monomial]]] = []
+    for t in tokens:
+        if t == 0:
+            parts.append(STAR)
+        elif t > 0:
+            if not 1 <= t <= d:
+                raise ValueError(f"label {t} out of range [1, {d}]")
+            outer.append((label, parts))
+            label, parts = t, []
+        elif t != -label:
+            raise ValueError("unbalanced delimiters")
+        elif not parts:
+            raise ValueError("empty delimiter interior")
+        else:
+            inner = product(parts)
+            label, parts = outer.pop()
+            parts.append(Unary(-t, inner))
+    if outer:
+        raise ValueError("unbalanced delimiters: unclosed delimiter")
+    return product(parts)  # raises ValueError on the empty word
 
 
 def word_to_text(tokens) -> str:
     """Render a token word as text: ``*`` and ``(i`` / ``)i`` delimiters."""
-    bits = []
-    for t in tokens:
-        if t == 0:
-            bits.append("*")
-        elif t > 0:
-            bits.append(f"({t}")
-        else:
-            bits.append(f"){-t}")
-    return " ".join(bits)
+    return " ".join("*" if t == 0 else f"({t}" if t > 0 else f"){-t}" for t in tokens)
 
 
 def word_from_text(text: str) -> tuple[int, ...]:
@@ -290,64 +293,34 @@ def word_from_text(text: str) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # Textual monomial grammar: `*`, `Pi(<mono>)`, juxtaposition for products,
-# e.g. `*P1(*P2(**))`.
+# e.g. `*P1(*P2(**))`.  The text is the word with `Pi(` and `)` for the
+# delimiters, so formatting maps tokens and parsing lexes them back.
 
 def format_monomial(m: Monomial) -> str:
-    if isinstance(m, Star):
-        return "*"
-    if isinstance(m, Unary):
-        return f"P{m.label}({format_monomial(m.child)})"
-    return "".join(format_monomial(f) for f in m.factors)
+    return "".join("*" if t == 0 else f"P{t}(" if t > 0 else ")"
+                   for t in encode_word(m))
+
+
+_LEXEME = re.compile(r"(\*)|P(\d+)\s*\(|(\))|\s+|(.)", re.DOTALL)
 
 
 def parse_monomial(text: str, d: int | None = None) -> Monomial:
     """Parse the textual grammar.  If ``d`` is given, labels are validated."""
-    pos = 0
-    n = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_seq(stop: str | None) -> Monomial:
-        nonlocal pos
-        parts: list[Monomial] = []
-        while True:
-            skip_ws()
-            if pos >= n or (stop is not None and text[pos] == stop):
-                break
-            c = text[pos]
-            if c == "*":
-                parts.append(STAR)
-                pos += 1
-            elif c == "P":
-                pos += 1
-                start = pos
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-                if start == pos:
-                    raise ValueError(f"expected label digits at position {start}")
-                label = int(text[start:pos])
-                if label < 1 or (d is not None and label > d):
-                    raise ValueError(f"label {label} out of range")
-                skip_ws()
-                if pos >= n or text[pos] != "(":
-                    raise ValueError(f"expected '(' at position {pos}")
-                pos += 1
-                inner = parse_seq(")")
-                if pos >= n or text[pos] != ")":
-                    raise ValueError("unbalanced parentheses")
-                pos += 1
-                parts.append(Unary(label, inner))
-            else:
-                raise ValueError(f"unexpected character {c!r} at position {pos}")
-        if not parts:
-            raise ValueError("empty monomial")
-        return product(parts)
-
-    m = parse_seq(None)
-    skip_ws()
-    if pos != n:
-        raise ValueError(f"trailing input at position {pos}")
-    return m
+    tokens: list[int] = []
+    opened: list[int] = []  # labels of the open `Pi(`, innermost last
+    for lexeme in _LEXEME.finditer(text):
+        star, label, close, bad = lexeme.groups()
+        if bad is not None:
+            raise ValueError(f"unexpected character {bad!r} at position {lexeme.start()}")
+        if star:
+            tokens.append(0)
+        elif label:
+            if int(label) < 1:
+                raise ValueError(f"label {label} out of range")
+            opened.append(int(label))
+            tokens.append(opened[-1])
+        elif close:
+            if not opened:
+                raise ValueError(f"unbalanced parentheses at position {lexeme.start()}")
+            tokens.append(-opened.pop())
+    return decode_word(tokens, max(tokens, default=0) if d is None else d)

@@ -78,3 +78,13 @@ def cyclic_garbage(fn, *args) -> int:
         return gc.collect()
     finally:
         gc.enable()
+
+
+def nested_key(m: Monomial):
+    """The nested-tuple canonical key, kept as the reference order that the
+    flat preorder code of ``canonical_key`` must reproduce."""
+    if isinstance(m, Star):
+        return (0,)
+    if isinstance(m, Unary):
+        return (1, m.label, nested_key(m.child))
+    return (2,) + tuple(nested_key(f) for f in m.factors)

@@ -287,3 +287,6 @@ class TestDyck:
     def test_bad_run_length_rejected(self):
         with pytest.raises(ValueError):
             dyck_inverse((1, 1, -1, -1), 2)
+
+    def test_generator_leaves_no_cyclic_garbage(self):
+        assert cyclic_garbage(all_dyck_paths, 6) == 0

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from opmono import (
     decode_word,
     degree,
     encode_word,
+    enumerate_monomials,
     format_monomial,
     is_canonical,
     multiplicity,
@@ -20,6 +23,7 @@ from opmono import (
     word_length,
 )
 from opmono.monomial import word_from_text, word_to_text
+from helpers import cyclic_garbage, nested_key
 
 P1_11_22 = Unary(1, Unary(1, Unary(2, Product((STAR, STAR)))))  # P1(P1(P2(**)))
 
@@ -179,3 +183,140 @@ class TestGrammar:
     def test_label_validation_against_d(self):
         with pytest.raises(ValueError):
             parse_monomial("P3(*)", d=2)
+
+
+@pytest.mark.parametrize("regime, unary, mult", [
+    (Regime.FREE, False, False),
+    (Regime.COMM_UNARY, True, False),
+    (Regime.COMM_MULT, False, True),
+    (Regime.COMM_BOTH, True, True),
+])
+def test_regime_switches(regime, unary, mult):
+    assert regime.unary_commute is unary
+    assert regime.mult_commute is mult
+    assert Regime(regime.value) is Regime.from_code(regime.value) is regime
+
+
+class TestFlatKey:
+    @given(st.lists(monomials(), min_size=2, max_size=8))
+    def test_sorts_as_nested_key(self, ms):
+        flat = sorted(ms, key=canonical_key)
+        nested = sorted(ms, key=nested_key)
+        assert [encode_word(m) for m in flat] == [encode_word(m) for m in nested]
+        a, b = ms[0], ms[1]
+        fa, fb, na, nb = canonical_key(a), canonical_key(b), nested_key(a), nested_key(b)
+        assert (fa < fb, fa == fb) == (na < nb, na == nb)
+
+    def test_oracle_order_is_nested_order(self):
+        for regime in Regime:
+            ms = enumerate_monomials(2, 3, (2, 1), regime)
+            assert len(ms) > 20
+            assert ms == sorted(ms, key=nested_key)
+
+
+DEPTH = 3000
+CHAIN_LABELS = [1 + i % 3 for i in range(DEPTH)]  # outside in; not weakly increasing
+CHAIN_TEXT = "".join(f"P{i}(" for i in CHAIN_LABELS) + "*" + ")" * DEPTH
+CHAIN_WORD = (*CHAIN_LABELS, 0, *(-i for i in reversed(CHAIN_LABELS)))
+NEST_TEXT = "P1(*" * DEPTH + ")" * DEPTH  # P1(*P1(*...P1(*)...))
+NEST_WORD = (1, 0) * DEPTH + (-1,) * DEPTH
+# P1(P1(...P1(*)*...)*): every product lists its star last
+NEST_REV_TEXT = "P1(" * DEPTH + "*" + ")*" * (DEPTH - 1) + ")"
+
+
+class TestDeepNesting:
+    """Every walk of the term algebra at 3000-deep nesting, under the default
+    recursion limit."""
+
+    @pytest.mark.parametrize("text, word, degree_, mult", [
+        (CHAIN_TEXT, CHAIN_WORD, 1, (DEPTH // 3,) * 3),
+        (NEST_TEXT, NEST_WORD, DEPTH, (DEPTH, 0, 0)),
+    ], ids=["chain", "nest"])
+    def test_walks(self, text, word, degree_, mult):
+        m = parse_monomial(text, 3)
+        assert encode_word(m) == word
+        again = decode_word(word, 3)
+        assert encode_word(again) == word
+        assert format_monomial(m) == text
+        assert repr(m) == f"Monomial({text!r})"
+        assert degree(m) == degree_
+        assert multiplicity(m, 3) == mult
+        assert word_length(m, 2) == 2 * degree_ + 2 * DEPTH
+        assert m == again and hash(m) == hash(again)
+        assert m != parse_monomial("P1(" * DEPTH + "**" + ")" * DEPTH)
+        for regime in Regime:
+            c = canonicalize(m, regime)
+            assert is_canonical(c, regime)
+            assert degree(c) == degree_ and multiplicity(c, 3) == mult
+
+    def test_canonical_chain(self):
+        m = parse_monomial(CHAIN_TEXT, 3)
+        labels = sorted(CHAIN_LABELS)
+        sorted_word = (*labels, 0, *(-i for i in reversed(labels)))
+        for regime in Regime:
+            want = sorted_word if regime.unary_commute else CHAIN_WORD
+            assert encode_word(canonicalize(m, regime)) == want
+            assert is_canonical(m, regime) is not regime.unary_commute
+        assert canonical_key(m) == (*[x for i in CHAIN_LABELS for x in (1, i)], 0)
+
+    def test_canonical_nest(self):
+        m = parse_monomial(NEST_REV_TEXT, 1)
+        for regime in Regime:
+            c = canonicalize(m, regime)
+            want = NEST_WORD if regime.mult_commute else encode_word(m)
+            assert encode_word(c) == want
+            assert is_canonical(c, regime)
+            assert is_canonical(m, regime) is not regime.mult_commute
+        assert canonical_key(parse_monomial(NEST_TEXT)) == (
+            (1, 1, 2, 0) * (DEPTH - 1) + (1, 1, 0) + (-1,) * (DEPTH - 1))
+
+    def test_descending_chain_sorts_fast(self):
+        m = STAR
+        for label in range(1, DEPTH + 1):
+            m = Unary(label, m)  # outermost label largest
+        start = time.perf_counter()
+        c = canonicalize(m, Regime.COMM_UNARY)
+        assert time.perf_counter() - start < 1.0
+        labels = range(1, DEPTH + 1)
+        assert encode_word(c) == (*labels, 0, *(-i for i in reversed(labels)))
+
+
+class TestNoCyclicGarbage:
+    M = parse_monomial("P2(P1(**))*P1(*)")
+
+    @pytest.mark.parametrize("fn, args", [
+        (canonicalize, (M, Regime.COMM_BOTH)),
+        (parse_monomial, ("P2(P1(**))*P1(*)",)),
+        (decode_word, (encode_word(M), 2)),
+        (encode_word, (M,)),
+        (multiplicity, (M, 2)),
+    ], ids=["canonicalize", "parse_monomial", "decode_word", "encode_word", "multiplicity"])
+    def test_walk_leaves_no_cycle(self, fn, args):
+        assert cyclic_garbage(fn, *args) == 0
+
+
+LEXEMES = ["*", "P", "(", ")", "0", "1", "2", "3", " ", "x", "P1(", "P2(", "P3 ("]
+
+
+class TestParserContract:
+    """The one parser either round-trips or raises ValueError."""
+
+    @given(st.one_of(st.text(alphabet="*P()0123 x", max_size=24),
+                     st.lists(st.sampled_from(LEXEMES), max_size=16).map("".join)))
+    def test_text(self, text):
+        try:
+            m = parse_monomial(text)
+        except ValueError:
+            return
+        assert parse_monomial(format_monomial(m)) == m
+        word = encode_word(m)
+        assert decode_word(word, max(word)) == m
+
+    @given(st.lists(st.integers(-3, 3), max_size=16))
+    def test_tokens(self, tokens):
+        try:
+            m = decode_word(tokens, 3)
+        except ValueError:
+            return
+        assert encode_word(m) == tuple(tokens)
+        assert parse_monomial(format_monomial(m), 3) == m
