@@ -6,12 +6,14 @@ The regimes come from two independent switches, each stated once:
   single label, or, when the operators commute, in a nonempty label set
   taken by inclusion-exclusion.  Its weight, w = d*z^2 or 1 - (1 - z^2)^d,
   is written only in the section "The unary layer" below, in the three
-  forms its readers need: signed indicator vectors (multigraded
-  recurrences), a length form (length recurrences, the series engine) and
-  w(z) in product form (the growth roots);
-* the product (``Regime.mult_commute``): a monomial is a sequence of atoms,
-  B = z^ell*(1 + B) + w*(B + B^2), or a multiset of atoms, counted by the
-  Euler transform.  An atom is the indeterminate or a layer over a monomial.
+  forms its readers need: signed indicator vectors over the labels that s
+  uses (multigraded recurrences), a length form (length recurrences, the
+  series engine) and w(z) in product form (the growth roots);
+* the product (``Regime.mult_commute``) picks only the step from atoms to
+  monomials.  An atom is the indeterminate or a layer over a monomial,
+  Bbar = x + w*B, stated once per grading; a sequence of atoms gives
+  1 + B = 1/(1 - Bbar), a multiset the exp-log (Euler) transform
+  1 + B = exp(sum_j Bbar(x^j)/j).
 
 The free regime answers by its closed form, the multinomial refinement of
 the Narayana numbers; its sequence recurrence is a second route.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as cartesian
+from itertools import combinations, product as cartesian
 from operator import mul
 
 from .monomial import Regime
@@ -98,14 +100,22 @@ def _sub(s, t) -> tuple[int, ...]:
 # keyed by plain bools and ints, since hashing a Regime runs in Python.
 
 @lru_cache(maxsize=None)
+def _layer_within(commuting: bool,
+                  support: tuple[bool, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    # the (sign, e) pairs of one layer whose labels all lie in ``support``;
+    # a multiplicity vector reads them over its own nonzero labels only, so
+    # a sparse s at large d sees a small table
+    labels = [i for i, on in enumerate(support) if on]
+    sizes = range(1, len(labels) + 1) if commuting else (1,)
+    return tuple(((-1) ** (k + 1), tuple(int(i in t) for i in range(len(support))))
+                 for k in sizes for t in combinations(labels, k))
+
+
 def layer_indicators(commuting: bool, d: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(sign, e) pairs of one layer in the multigraded grading: the d unit
     vectors with sign +1, or the indicator vectors of the nonempty label
     subsets with sign (-1)^(|e|+1)."""
-    if not commuting:
-        return tuple((1, tuple(int(j == i) for j in range(d))) for i in range(d))
-    return tuple((1 if sum(e) % 2 else -1, e)
-                 for e in cartesian((0, 1), repeat=d) if any(e))
+    return _layer_within(commuting, (True,) * d)
 
 
 def layer_lengths(commuting: bool, d: int, n_max: int) -> dict[int, int]:
@@ -123,99 +133,70 @@ def layer_weight(commuting: bool, d: int, z):
 
 
 # ---------------------------------------------------------------------------
-# Multigraded counts.  Noncommutative product: B = x*(1 + B) + w*(B + B^2),
-# where x marks the degree and w is the layer.
-
-@lru_cache(maxsize=None)
-def _sequence_a(commuting: bool, d: int, r: int, s: tuple[int, ...]) -> int:
-    # coefficient of x^r u^s in B
-    if r < 1:
-        return 0
-    total = 1 if r == 1 and not any(s) else 0
-    total += _sequence_a(commuting, d, r - 1, s)
-    for sign, e in layer_indicators(commuting, d):
-        s2 = _sub(s, e)
-        if min(s2) >= 0:
-            total += sign * _sequence_p(commuting, d, r, s2)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _sequence_p(commuting: bool, d: int, r: int, s: tuple[int, ...]) -> int:
-    # coefficient of x^r u^s in B + B^2
-    total = _sequence_a(commuting, d, r, s)
-    for i in range(1, r):
-        for alpha in _box(s):
-            left = _sequence_a(commuting, d, i, alpha)
-            if left:
-                total += left * _sequence_a(commuting, d, r - i, _sub(s, alpha))
-    return total
-
-
-# Commutative product: multiset-of-atoms decomposition, so the counts obey
-# an Euler-transform recurrence driven by the atom counts.
+# Multigraded counts.  x marks the degree and u^s the multiplicities; an atom
+# is the indeterminate or one layer over a monomial, Bbar = x + w*B.  A
+# sequence of atoms gives 1 + B = 1/(1 - Bbar), so a_r = sum_j abar_j*a_{r-j};
+# a multiset gives the Euler transform, r*a_r = sum_j c_j*a_{r-j} with
+# c_r = sum_{j | gcd(r, s)} (r/j)*abar(r/j, s/j).  Here a is the coefficient
+# of 1 + B (a_0 = [s = 0]); ``multiset`` is Regime.mult_commute and d = len(s).
 
 @lru_cache(maxsize=None)
 def _divisors(n: int) -> tuple[int, ...]:
-    out = [j for j in range(1, n + 1) if n % j == 0]
-    return tuple(out)
-
-
-def _euler_abar(commuting: bool, d: int, r: int, s: tuple[int, ...]) -> int:
-    # atoms: the indeterminate, or one unary layer over a general monomial
-    val = 1 if (r == 1 and not any(s)) else 0
-    for sign, e in layer_indicators(commuting, d):
-        s2 = _sub(s, e)
-        if min(s2) >= 0:
-            val += sign * _euler_a(commuting, d, r, s2)
-    return val
+    return tuple(j for j in range(1, n + 1) if n % j == 0)
 
 
 @lru_cache(maxsize=None)
-def _euler_c(commuting: bool, d: int, r: int, s: tuple[int, ...]) -> int:
-    g = math.gcd(r, *s) if s else r
-    total = 0
-    for j in _divisors(g):
-        total += (r // j) * _euler_abar(commuting, d, r // j,
-                                        tuple(si // j for si in s))
+def _atoms(commuting: bool, multiset: bool, r: int, s: tuple[int, ...]) -> int:
+    total = 1 if r == 1 and not any(s) else 0
+    for sign, e in _layer_within(commuting, tuple(map(bool, s))):
+        total += sign * _a(commuting, multiset, r, _sub(s, e))
     return total
 
 
 @lru_cache(maxsize=None)
-def _euler_a(commuting: bool, d: int, r: int, s: tuple[int, ...]) -> int:
-    if r < 0 or any(si < 0 for si in s):
-        return 0
-    if r == 0:
-        return 1 if not any(s) else 0
+def _c(commuting: bool, multiset: bool, r: int, s: tuple[int, ...]) -> int:
+    if not multiset:
+        return _atoms(commuting, False, r, s)
     total = 0
-    for j in range(1, r + 1):
-        for alpha in _box(s):
-            c = _euler_c(commuting, d, j, alpha)
+    for j in _divisors(math.gcd(r, *s)):
+        total += (r // j) * _atoms(commuting, True, r // j, tuple(si // j for si in s))
+    return total
+
+
+@lru_cache(maxsize=None)
+def _a(commuting: bool, multiset: bool, r: int, s: tuple[int, ...]) -> int:
+    # r >= 1; the term j = r meets a_0 = [s = 0], so it is c(r, s) alone.
+    # The box of s read backwards lists s - alpha for each alpha in order.
+    total = _c(commuting, multiset, r, s)
+    box = list(_box(s))
+    for j in range(1, r):
+        for alpha, rest in zip(box, reversed(box)):
+            c = _c(commuting, multiset, j, alpha)
             if c:
-                total += c * _euler_a(commuting, d, r - j, _sub(s, alpha))
+                total += c * _a(commuting, multiset, r - j, rest)
+    if not multiset:
+        return total
     q, rem = divmod(total, r)
     if rem:
         raise SelfCheckError(
-            f"multiset recurrence not divisible by r={r} at s={s} (d={d})")
+            f"multiset recurrence not divisible by r={r} at s={s} (d={len(s)})")
     return q
 
 
 def count(regime: Regime, d: int, r: int, s) -> int:
-    """Monomials of degree r and multiplicity s.  The product switch picks
-    the multiset or the sequence recurrence and the unary switch its layer;
-    the free regime answers by its closed form."""
+    """Monomials of degree r and multiplicity s.  The free regime answers by
+    its closed form; every other regime fills the box (r, s) in order with
+    the atom recurrence of its two switches, so each step finds its terms
+    cached and the recursion stays shallow at any size."""
     s = _check_args(d, r, s)
-    if regime.mult_commute:
-        return _euler_a(regime.unary_commute, d, r, s)
-    if regime.unary_commute:
-        # fill the box in order, so each step finds its terms cached and
-        # the recursion stays shallow at any size
-        for r2 in range(1, r + 1):
-            for s2 in _box(s):
-                _sequence_a(True, d, r2, s2)
-        return _sequence_a(True, d, r, s)
-    k = sum(s)
-    return multinomial(s) * narayana(r + k, k)
+    if regime is Regime.FREE:
+        k = sum(s)
+        return multinomial(s) * narayana(r + k, k)
+    commuting, multiset = regime.unary_commute, regime.mult_commute
+    for r2 in range(1, r + 1):
+        for s2 in _box(s):
+            _a(commuting, multiset, r2, s2)
+    return _a(commuting, multiset, r, s)
 
 
 def count_free(d: int, r: int, s) -> int:
@@ -298,26 +279,12 @@ def free_length_closed_table(d: int, ell: int, n_max: int) -> list[int]:
     return table
 
 
-def _sequence_values(layer: dict[int, int], ell: int, n_max: int) -> list[int]:
-    # B = z^ell*(1 + B) + w*(B + B^2); p holds the coefficients of B + B^2,
-    # each formed once
-    b = [0] * (n_max + 1)
-    p = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        v = 1 if n == ell else 0
-        if n > ell:
-            v += b[n - ell]
-        for shift, coeff in layer.items():
-            if shift < n:
-                v += coeff * p[n - shift]
-        b[n] = v
-        p[n] = v + sum(map(mul, b[1:n], b[n - 1:0:-1]))
-    return b
-
-
-def _euler_values(layer: dict[int, int], ell: int, n_max: int) -> list[int]:
-    # 1 + B = exp(sum_j Bbar(z^j)/j) with atoms Bbar = z^ell + w*B
-    b = [0] * (n_max + 1)
+def _length_values(layer: dict[int, int], ell: int, n_max: int,
+                   multiset: bool) -> list[int]:
+    # atoms bbar = z^ell + w*b; a sequence gives b_n = sum_k bbar_k*b_{n-k},
+    # a multiset n*b_n = sum_k c_k*b_{n-k} with c_n = sum_{k | n} k*bbar_k,
+    # where b_0 = 1 stands for the 1 in 1 + B
+    b = [1] + [0] * n_max
     bbar = [0] * (n_max + 1)
     c = [0] * (n_max + 1)
     for n in range(1, n_max + 1):
@@ -326,12 +293,15 @@ def _euler_values(layer: dict[int, int], ell: int, n_max: int) -> list[int]:
             if shift < n:
                 v += coeff * b[n - shift]
         bbar[n] = v
-        c[n] = sum(k * bbar[k] for k in _divisors(n))
-        q, rem = divmod(c[n] + sum(map(mul, c[1:n], b[n - 1:0:-1])), n)
-        if rem:
-            raise SelfCheckError(
-                f"Euler length recurrence not divisible by n={n} (ell={ell})")
-        b[n] = q
+        if multiset:
+            c[n] = sum(k * bbar[k] for k in _divisors(n))
+            b[n], rem = divmod(sum(map(mul, c[1:n + 1], b[n - 1::-1])), n)
+            if rem:
+                raise SelfCheckError(
+                    f"Euler length recurrence not divisible by n={n} (ell={ell})")
+        else:
+            b[n] = sum(map(mul, bbar[1:n + 1], b[n - 1::-1]))
+    b[0] = 0
     return b
 
 
@@ -339,13 +309,12 @@ def length_sequence(regime: Regime, d: int, ell: int, n_max: int) -> LengthSeque
     """Length-graded counts for 1 <= n <= n_max.
 
     The free regime is computed by two independent routes (the closed
-    Narayana sum and the quadratic recurrence) which must agree.
+    Narayana sum and the sequence recurrence) which must agree.
     """
     if d < 1 or ell < 1 or n_max < 1:
         raise ValueError("d, ell and n_max must all be >= 1")
     layer = layer_lengths(regime.unary_commute, d, n_max)
-    solve = _euler_values if regime.mult_commute else _sequence_values
-    values = solve(layer, ell, n_max)
+    values = _length_values(layer, ell, n_max, regime.mult_commute)
     if regime is Regime.FREE:
         closed = free_length_closed_table(d, ell, n_max)
         for n in range(1, n_max + 1):

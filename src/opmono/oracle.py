@@ -13,6 +13,7 @@ already a canonical fixed point and no deduplication is needed.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from . import counting
 from .counting import _box, _sub
@@ -157,10 +158,9 @@ def count_by_length(d: int, ell: int, n: int, regime: Regime,
 
 
 def compositions(k: int, d: int):
-    """All d-tuples of nonnegative integers summing to k."""
-    if d == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in compositions(k - first, d - 1):
-            yield (first,) + rest
+    """All d-tuples of nonnegative integers summing to k, in lexicographic
+    order: stars and bars, with d - 1 bars placed among k + d - 1 slots."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    for bars in combinations(range(k + d - 1), d - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (k + d - 1,)))

@@ -185,6 +185,20 @@ class TestTable:
         assert out.splitlines() == ["r,s,value", "1,0,1", "1,1,1", "1,2,1",
                                     "2,0,1", "2,1,3", "2,2,6"]
 
+    def test_many_labels(self, capsys):
+        # the grid walks the compositions of |s| in a loop, and a count
+        # reads the layer over the labels s uses, so d = 1200 is one row
+        code, out, err = run(capsys, "table", "--regime", "c", "--d", "1200",
+                             "--rmax", "1", "--smax", "0")
+        assert code == 0 and err == ""
+        assert out.splitlines() == ["r\ts\tvalue", "1\t" + ";".join(["0"] * 1200) + "\t1"]
+
+    def test_no_labels(self, capsys):
+        code, out, err = run(capsys, "table", "--regime", "c", "--d", "0",
+                             "--rmax", "1", "--smax", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

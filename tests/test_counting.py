@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -224,11 +225,12 @@ class TestUnaryLayer:
         # multigraded route to multinomial * narayana
         for d in (1, 2, 3):
             for r, s in multidegrees(d, 10):
-                assert counting._sequence_a(False, d, r, s) == count_free(d, r, s)
+                assert counting._a(False, False, r, s) == count_free(d, r, s)
 
     def test_comm_unary_deep_cells_within_default_recursion_limit(self):
-        counting._sequence_a.cache_clear()
-        counting._sequence_p.cache_clear()
+        counting._atoms.cache_clear()
+        counting._c.cache_clear()
+        counting._a.cache_clear()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
@@ -236,6 +238,37 @@ class TestUnaryLayer:
             assert count_comm_unary(1, 700, (0,)) == 1
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_multiset_deep_cells_within_default_recursion_limit(self):
+        counting._atoms.cache_clear()
+        counting._c.cache_clear()
+        counting._a.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert count_comm_mult(1, 700, (0,)) == 1
+            assert count_comm_both(1, 700, (0,)) == 1
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_layer_read_over_the_labels_s_uses(self):
+        # labels that s leaves at zero cannot contribute, so a sparse s at
+        # many labels costs what it costs over its own support
+        counting._atoms.cache_clear()
+        counting._c.cache_clear()
+        counting._a.cache_clear()
+        e1 = (1,) + (0,) * 39
+        assert count_comm_unary(40, 2, e1) == count_comm_unary(1, 2, (1,)) == 3
+        assert count_comm_both(40, 2, e1) == count_comm_both(1, 2, (1,)) == 2
+        start = time.perf_counter()
+        assert count_comm_unary(18, 2, e1[:18]) == 3
+        assert time.perf_counter() - start < 1.0
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.data())
+    def test_unused_labels_change_nothing(self, d, r, extra, data):
+        s = tuple(data.draw(st.integers(0, 3)) for _ in range(d))
+        for regime in Regime:
+            assert count(regime, d + extra, r, s + (0,) * extra) == count(regime, d, r, s)
 
 
 class TestTablePrefix:

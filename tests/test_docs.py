@@ -1,0 +1,10 @@
+import doctest
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_run():
+    # the library quick start is a doctest, so its printed values cannot drift
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0

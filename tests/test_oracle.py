@@ -1,4 +1,5 @@
 import sys
+from itertools import product
 
 import pytest
 
@@ -110,3 +111,26 @@ def test_multiset_cells_within_default_recursion_limit(regime, r, s, want):
 def test_multiset_generator_leaves_no_cyclic_garbage():
     oracle._monomials.cache_clear()
     assert cyclic_garbage(enumerate_monomials, 2, 4, (2, 2), Regime.COMM_MULT) == 0
+
+
+def test_compositions_in_lexicographic_order():
+    for d in range(1, 6):
+        for k in range(7):
+            want = [s for s in product(range(k + 1), repeat=d) if sum(s) == k]
+            assert list(oracle.compositions(k, d)) == want
+
+
+def test_compositions_at_many_labels_within_default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert list(oracle.compositions(0, 3000)) == [(0,) * 3000]
+        seen = 0
+        for s in oracle.compositions(1, 3000):
+            assert s[2999 - seen] == sum(s) == 1
+            seen += 1
+    finally:
+        sys.setrecursionlimit(limit)
+    assert seen == 3000
+    with pytest.raises(ValueError):
+        list(oracle.compositions(2, 0))
