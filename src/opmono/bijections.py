@@ -25,15 +25,40 @@ from .monomial import (
 )
 
 
+class _ByPreorder:
+    """Equality and hashing over a flat preorder code, so that deep trees
+    compare without recursion."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(self._preorder())
+
+
 # ---------------------------------------------------------------------------
 # Rooted ordered trees: leaves are occurrences of the indeterminate, unary
 # internal nodes carry operator labels, other internal nodes (>= 2 children)
 # are products.
 
-@dataclass(frozen=True, slots=True)
-class OrderedTree:
+@dataclass(frozen=True, slots=True, eq=False)
+class OrderedTree(_ByPreorder):
     label: int | None
     children: tuple["OrderedTree", ...]
+
+    def _preorder(self) -> tuple:
+        """Flat preorder code: each node's label, then its child count."""
+        out: list = []
+        todo = [self]
+        while todo:
+            v = todo.pop()
+            out += (v.label, len(v.children))
+            todo.extend(reversed(v.children))
+        return tuple(out)
 
 
 def to_ordered_tree(m: Monomial) -> OrderedTree:
@@ -237,8 +262,8 @@ def all_lattice_paths(d: int, ell: int, span: int) -> list[LatticePath]:
 # Binary trees with labeled right edges (the even-length, ell = 2 model).
 # The empty tree corresponds to the empty monomial (None).
 
-@dataclass(frozen=True, slots=True)
-class BinaryTree:
+@dataclass(frozen=True, slots=True, eq=False)
+class BinaryTree(_ByPreorder):
     left: "BinaryTree | None" = None
     right_label: int | None = None
     right: "BinaryTree | None" = None
@@ -246,6 +271,20 @@ class BinaryTree:
     def __post_init__(self) -> None:
         if (self.right is None) != (self.right_label is None):
             raise ValueError("right child and right-edge label go together")
+
+    def _preorder(self) -> tuple:
+        """Flat preorder code: 1 and the right-edge label for a vertex, then
+        its left and right subtrees; 0 for an empty subtree."""
+        out: list = []
+        todo: list = [self]
+        while todo:
+            v = todo.pop()
+            if v is None:
+                out.append(0)
+            else:
+                out += (1, v.right_label)
+                todo += (v.right, v.left)
+        return tuple(out)
 
 
 def count_vertices(t: BinaryTree | None) -> int:

@@ -6,14 +6,34 @@ noncommutative, a multiset of atoms (kept sorted by canonical key) when it
 commutes.  An atom is the indeterminate or a unary application; when the
 unary operators commute, atoms are weakly increasing label chains over a
 non-unary root (the indeterminate or a product of at least two atoms).
-Generation recurses over this structure, so every emitted monomial is
-already a canonical fixed point and no deduplication is needed.
+Every monomial is built as a canonical fixed point, so no deduplication is
+needed.
+
+A cell is the tuple of monomials of one type (r, s) in canonical-key order:
+its atoms, then its products.  :func:`enumerate_monomials` fills the cells
+(r', s') <= (r, s) in order, r' ascending and s' in box order, so a cell only
+reads filled cells and a deep chain costs no recursion.
+
+No product is ever keyed.  Atoms come out in key order directly: with
+noncommuting labels by label, then in the child cell's order; with commuting
+labels the chains sort by (1, l1, 1, l2, ..., the root tag, the root's index
+in its cell).  The key is a prefix code, so products compare as the tuples of
+their factors' ranks, a rank being the position among the cell's head atoms
+(all atoms of the types (r1, s1) with r1 < r), which are keyed once per
+cell.  A sequence takes its heads in rank order, each followed by the tails
+of the complementary cell sorted once by rank tuple.  A multiset picks, for
+each weight type it uses, a multiset of that type's atoms by
+``combinations_with_replacement``, one recursion level per type used (so at
+most r deep), and its rank tuples are sorted.  The caches hold monomials
+only: keeping a key beside every cached monomial more than doubles the
+oracle's peak memory.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from operator import itemgetter
 
 from . import counting
 from .counting import _box, _sub
@@ -42,84 +62,65 @@ def _wrap_chain(t, root: Monomial) -> Monomial:
 
 @lru_cache(maxsize=None)
 def _atoms(regime: Regime, d: int, r: int, s: tuple[int, ...]) -> tuple[Monomial, ...]:
-    out: list[Monomial] = []
-    if r == 1 and not any(s):
-        out.append(STAR)
-    if regime.unary_commute:
-        for t in _box(s):
-            if not any(t):
-                continue
-            for root in _monomials(regime, d, r, _sub(s, t)):
-                if isinstance(root, Unary):
-                    continue  # chains sit over non-unary roots only
-                out.append(_wrap_chain(t, root))
-    else:
-        for i in range(d):
-            if s[i] >= 1:
-                s2 = tuple(si - 1 if j == i else si for j, si in enumerate(s))
-                for child in _monomials(regime, d, r, s2):
-                    out.append(Unary(i + 1, child))
-    out.sort(key=canonical_key)
-    return tuple(out)
+    out: list[Monomial] = [STAR] if r == 1 and not any(s) else []
+    if not regime.unary_commute:
+        for i in range(d):  # keys (1, i, key(child)): by label, then child
+            if s[i]:
+                child_s = s[:i] + (s[i] - 1,) + s[i + 1:]
+                out += [Unary(i + 1, c) for c in _monomials(regime, d, r, child_s)]
+        return tuple(out)
+    chains = []
+    for t in _box(s):
+        if any(t):
+            cell = _monomials(regime, d, r, _sub(s, t))
+            roots = [(j, c) for j, c in enumerate(cell) if type(c) is not Unary]
+            if roots:
+                labels = tuple(x for i, n in enumerate(t, 1) for x in (1, i) * n)
+                chains += [(labels + (0 if type(c) is Star else 2, j), t, c)
+                           for j, c in roots]
+    chains.sort(key=itemgetter(0))
+    return tuple(out + [_wrap_chain(t, c) for _, t, c in chains])
 
 
 @lru_cache(maxsize=None)
 def _monomials(regime: Regime, d: int, r: int, s: tuple[int, ...]) -> tuple[Monomial, ...]:
-    if r < 1:
-        return ()
+    # the head atoms: those of the types that can be a factor here
+    types = [(r1, s1, _atoms(regime, d, r1, s1)) for r1 in range(1, r) for s1 in _box(s)]
+    types = [t for t in types if t[2]]
+    heads = sorted((a for *_, atoms in types for a in atoms), key=canonical_key)
+    rank = {id(a): i for i, a in enumerate(heads)}
     if regime.mult_commute:
-        out = _multiset_monomials(regime, d, r, s)
+        groups = [(r1, s1, [rank[id(a)] for a in atoms]) for r1, s1, atoms in types]
+        picks = sorted(tuple(sorted(p)) for p in _pick(groups, 0, r, s))
+        products = [Product(tuple([heads[i] for i in p])) for p in picks]
     else:
-        out = _sequence_monomials(regime, d, r, s)
-    out.sort(key=canonical_key)
-    return tuple(out)
+        tails = {}
+        for r1, s1, atoms in types:
+            rest = sorted(map(factors, _monomials(regime, d, r - r1, _sub(s, s1))),
+                          key=lambda fs: [rank[id(f)] for f in fs])
+            for a in atoms:
+                tails[id(a)] = rest
+        products = [Product((a,) + fs) for a in heads for fs in tails[id(a)]]
+    return _atoms(regime, d, r, s) + tuple(products)
 
 
-def _sequence_monomials(regime: Regime, d: int, r: int, s: tuple[int, ...]) -> list[Monomial]:
-    out: list[Monomial] = []
-    for r1 in range(1, r + 1):
-        for s1 in _box(s):
-            head = _atoms(regime, d, r1, s1)
-            if not head:
-                continue
-            if r1 == r and s1 == s:
-                out.extend(head)
-            elif r1 < r:
-                for rest in _monomials(regime, d, r - r1, _sub(s, s1)):
-                    tail = factors(rest)
-                    for a in head:
-                        out.append(Product((a,) + tail))
-    return out
-
-
-def _multiset_monomials(regime: Regime, d: int, r: int, s: tuple[int, ...]) -> list[Monomial]:
-    # all atoms that could be a factor, in canonical-key order
-    cands: list[tuple[Monomial, int, tuple[int, ...]]] = []
-    for r1 in range(1, r + 1):
-        for s1 in _box(s):
-            for a in _atoms(regime, d, r1, s1):
-                cands.append((a, r1, s1))
-    cands.sort(key=lambda item: canonical_key(item[0]))
-
-    out: list[Monomial] = []
-    picked: list[Monomial] = []
-
-    # picks factors in weakly increasing candidate order; the recursion is
-    # one level per factor, so its depth is at most r
-    def choose(i: int, r_rem: int, s_rem: tuple[int, ...]) -> None:
-        if r_rem == 0:
-            if not any(s_rem):
-                out.append(picked[0] if len(picked) == 1 else Product(tuple(picked)))
-            return
-        for j in range(i, len(cands)):
-            a, r1, s1 = cands[j]
-            if r1 <= r_rem and all(x <= y for x, y in zip(s1, s_rem)):
-                picked.append(a)
-                choose(j, r_rem - r1, _sub(s_rem, s1))
-                picked.pop()
-
-    choose(0, r, s)
-    del choose  # break its self-reference, so cands is freed now, not by the cyclic GC
+def _pick(groups, j: int, r: int, s: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every multiset of total type (r, s) of atoms from ``groups[j:]``, as
+    rank tuples sorted within each group; one recursion level per group."""
+    if r == 0:
+        return [] if any(s) else [()]
+    out = []
+    for i in range(j, len(groups)):
+        r1, s1, ranks = groups[i]
+        if r1 > r:
+            break  # the groups come by ascending degree
+        k, rk, sk = 1, r - r1, _sub(s, s1)
+        while rk >= 0 and min(sk) >= 0:
+            rests = _pick(groups, i + 1, rk, sk)
+            if rests:
+                out += [c + rest for c in combinations_with_replacement(ranks, k)
+                        for rest in rests]
+            k, rk, sk = k + 1, rk - r1, _sub(sk, s1)
     return out
 
 
@@ -136,7 +137,11 @@ def enumerate_monomials(d: int, r: int, s, regime: Regime,
     predicted = counting.count(regime, d, r, s)
     if predicted > cap:
         raise EnumerationCapExceeded(predicted, cap)
-    return list(_monomials(regime, d, r, s))
+    # in order, so each cell reads filled cells only; the last one is (r, s)
+    for r2 in range(1, r + 1):
+        for s2 in _box(s):
+            cell = _monomials(regime, d, r2, s2)
+    return list(cell)
 
 
 def count_by_length(d: int, ell: int, n: int, regime: Regime,

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from opmono import (
@@ -37,6 +39,31 @@ from helpers import cyclic_garbage, multidegrees
 def small_monomials(d=2, max_total=5):
     for r, s in multidegrees(d, max_total):
         yield from enumerate_monomials(d, r, s, Regime.FREE)
+
+
+def test_deep_trees_compare_and_hash_within_default_recursion_limit():
+    leaf = OrderedTree(None, ())
+    pairs = []
+    for first in (1, 2):
+        ot, ot2 = OrderedTree(first, (leaf,)), OrderedTree(1, (leaf,))
+        bt, bt2 = BinaryTree(None, first, BinaryTree()), BinaryTree(None, 1, BinaryTree())
+        for i in range(3000):
+            ot, ot2 = OrderedTree(1, (ot,)), OrderedTree(1, (ot2,))
+            if i % 2:
+                bt, bt2 = BinaryTree(bt, None, None), BinaryTree(bt2, None, None)
+            else:
+                bt, bt2 = BinaryTree(None, 2, bt), BinaryTree(None, 2, bt2)
+        pairs.append((ot, ot2, bt, bt2))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        (ot, ot2, bt, bt2), (ot_x, _, bt_x, _) = pairs
+        assert ot == ot2 and hash(ot) == hash(ot2)
+        assert bt == bt2 and hash(bt) == hash(bt2)
+        assert ot != ot_x and bt != bt_x  # the innermost label differs
+        assert ot != bt and len({ot, ot2, bt, bt2}) == 2
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 class TestOrderedTrees:

@@ -4,12 +4,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from opmono import counting
 from opmono import (
     Regime,
     count,
+    count_by_length,
     count_comm_both,
     count_comm_mult,
     count_comm_unary,
@@ -180,6 +181,18 @@ class TestLengthSequences:
                                 total += count(regime, d, r, s)
                         r += 1
                     assert total == seq.value(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(Regime)), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 14))
+    def test_gradings_agree(self, regime, d, ell, n):
+        # the multigraded counts over ell*r + 2|s| = n, the length series and
+        # (for small n) the oracle's brute force give one number
+        total = sum(count(regime, d, r, s) for r in range(1, n // ell + 1)
+                    if (n - ell * r) % 2 == 0 for s in compositions((n - ell * r) // 2, d))
+        assert total == length_sequence(regime, d, ell, n).value(n)
+        if n <= 8:
+            assert total == count_by_length(d, ell, n, regime)
 
     def test_value_range_checks(self):
         seq = length_sequence(Regime.FREE, 1, 1, 5)

@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,7 @@ from opmono import oracle
 from opmono import (
     Regime,
     EnumerationCapExceeded,
+    canonical_key,
     count,
     count_by_length,
     degree,
@@ -47,12 +51,40 @@ def test_one_operator_example():
 
 
 def test_every_element_canonical_with_right_grading():
+    # the oracle orders products by their factors' ranks and never keys
+    # them, so fresh keys catch a rank order that drifts from the key order
     for regime in Regime:
-        for r, s in multidegrees(2, 5):
-            for m in enumerate_monomials(2, r, s, regime):
-                assert is_canonical(m, regime)
-                assert degree(m) == r
-                assert multiplicity(m, 2) == s
+        for d in (1, 2, 3):
+            for r, s in multidegrees(d, 6):
+                ms = enumerate_monomials(d, r, s, regime)
+                assert len(ms) == count(regime, d, r, s)
+                for m in ms:
+                    assert is_canonical(m, regime)
+                    assert degree(m) == r
+                    assert multiplicity(m, d) == s
+                keys = [canonical_key(m) for m in ms]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_deep_chain_within_default_recursion_limit():
+    # cells are filled in order, so a 1000-deep chain recurses nowhere
+    want = [parse_monomial("P1(" * 1000 + "*" + ")" * 1000)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for regime in Regime:
+            oracle._atoms.cache_clear()
+            oracle._monomials.cache_clear()
+            assert enumerate_monomials(1, 1, (1000,), regime) == want
+    finally:
+        sys.setrecursionlimit(limit)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "opmono.cli", "enumerate", "--regime", "m",
+                           "--d", "1", "--r", "1", "--s", "1000"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "P1(" * 1000 + "*" + ")" * 1000 + "\n"
 
 
 def test_matches_counting_engine_small():
