@@ -94,7 +94,9 @@ def growth_estimate(regime: Regime, d: int, ell: int, n: int) -> GrowthResult:
     """Finite-n growth estimate sqrt(b(2n+2)/b(2n)) * ((n+1)/n)^(3/4).
 
     Intended for the commutative-product regimes, which have no exact-root
-    equation here, but usable on any regime for cross-checks."""
+    equation here, but usable on any regime for cross-checks.  The two
+    terms are read from the family's shared length table, which is extended
+    to length 2n + 2 only if it is shorter."""
     import mpmath
 
     if n < 1:

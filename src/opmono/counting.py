@@ -279,12 +279,15 @@ def free_length_closed_table(d: int, ell: int, n_max: int) -> list[int]:
     return table
 
 
-def _length_values(layer: dict[int, int], ell: int, n_max: int,
-                   multiset: bool) -> list[int]:
+def _length_values(layer: dict[int, int], ell: int, n_max: int, multiset: bool,
+                   prefix=(1,)) -> list[int]:
     # atoms bbar = z^ell + w*b; a sequence gives b_n = sum_k bbar_k*b_{n-k},
     # a multiset n*b_n = sum_k c_k*b_{n-k} with c_n = sum_{k | n} k*bbar_k,
-    # where b_0 = 1 stands for the 1 in 1 + B
-    b = [1] + [0] * n_max
+    # where b_0 = 1 stands for the 1 in 1 + B.  The terms of ``prefix`` are
+    # kept; bbar and c are rebuilt over them, then the recurrence goes on.
+    # Both rules commute with z -> z^2, so a caller may pass the layer, ell
+    # and n_max all halved and read the result at t = z^2.
+    b = list(prefix) + [0] * (n_max + 1 - len(prefix))
     bbar = [0] * (n_max + 1)
     c = [0] * (n_max + 1)
     for n in range(1, n_max + 1):
@@ -295,37 +298,71 @@ def _length_values(layer: dict[int, int], ell: int, n_max: int,
         bbar[n] = v
         if multiset:
             c[n] = sum(k * bbar[k] for k in _divisors(n))
+        if n < len(prefix):
+            continue
+        if multiset:
             b[n], rem = divmod(sum(map(mul, c[1:n + 1], b[n - 1::-1])), n)
             if rem:
                 raise SelfCheckError(
                     f"Euler length recurrence not divisible by n={n} (ell={ell})")
         else:
             b[n] = sum(map(mul, bbar[1:n + 1], b[n - 1::-1]))
-    b[0] = 0
     return b
+
+
+@lru_cache(maxsize=None)
+def _length_table(commuting: bool, multiset: bool, d: int, ell: int) -> list[int]:
+    # one family's checked counts on its lattice: b[m] is the count at word
+    # length step*m, with step 2 when ell is even and 1 otherwise, and
+    # b[0] = 1; length_sequence extends the list in place
+    return [1]
+
+
+def _extend_table(table: list[int], commuting: bool, multiset: bool, d: int,
+                  ell: int, step: int, n_max: int) -> None:
+    # the layer is truncated at n_max, so it is rebuilt for each extension
+    layer = layer_lengths(commuting, d, n_max)
+    if any(k % step for k in (ell, *layer)):
+        raise SelfCheckError(
+            f"length lattice step {step} does not divide ell={ell} and every layer shift")
+    b = _length_values({k // step: v for k, v in layer.items()}, ell // step,
+                       n_max // step, multiset, table)
+    new = range(len(table), len(b))
+    if not commuting and not multiset:
+        closed = free_length_closed_table(d, ell, n_max)
+        for m in new:
+            if closed[step * m] != b[m]:
+                raise SelfCheckError(
+                    f"free length count mismatch at n={step * m}: "
+                    f"closed sum {closed[step * m]} vs recurrence {b[m]}")
+    if ell // step in new and b[ell // step] != 1:
+        raise SelfCheckError(f"count at the minimal length {ell} is not 1")
+    table += b[len(table):]
 
 
 def length_sequence(regime: Regime, d: int, ell: int, n_max: int) -> LengthSequence:
     """Length-graded counts for 1 <= n <= n_max.
 
-    The free regime is computed by two independent routes (the closed
-    Narayana sum and the sequence recurrence) which must agree.
+    Each family (regime, d, ell) keeps one table, which every caller
+    shares: :func:`table_prefix`, the growth estimate, the fixtures and the
+    CLI.  A request within the table is a slice of it; a longer one goes on
+    with the recurrence from the stored terms.  When ell is even every word
+    length is even, so the recurrence runs in t = z^2 with ell and the layer
+    shifts halved, and the odd lengths are zero by construction.  New terms
+    are checked before they are stored: the free regime against the closed
+    Narayana sum (a second, independent route), the multiset products by
+    the exact Euler division, and every family by the count 1 at the
+    minimal length ell.
     """
     if d < 1 or ell < 1 or n_max < 1:
         raise ValueError("d, ell and n_max must all be >= 1")
-    layer = layer_lengths(regime.unary_commute, d, n_max)
-    values = _length_values(layer, ell, n_max, regime.mult_commute)
-    if regime is Regime.FREE:
-        closed = free_length_closed_table(d, ell, n_max)
-        for n in range(1, n_max + 1):
-            if closed[n] != values[n]:
-                raise SelfCheckError(
-                    f"free length count mismatch at n={n}: "
-                    f"closed sum {closed[n]} vs recurrence {values[n]}")
-    if ell % 2 == 0 and any(values[n] for n in range(1, n_max + 1, 2)):
-        raise SelfCheckError("even indeterminate length but odd-length count nonzero")
-    if ell <= n_max and values[ell] != 1:
-        raise SelfCheckError(f"count at the minimal length {ell} is not 1")
+    commuting, multiset = regime.unary_commute, regime.mult_commute
+    step = 2 if ell % 2 == 0 else 1
+    table = _length_table(commuting, multiset, d, ell)
+    if n_max // step >= len(table):
+        _extend_table(table, commuting, multiset, d, ell, step, n_max)
+    values = [0] * (n_max + 1)
+    values[step::step] = table[1:n_max // step + 1]
     return LengthSequence(regime, d, ell, tuple(values))
 
 

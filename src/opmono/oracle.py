@@ -17,7 +17,9 @@ reads filled cells and a deep chain costs no recursion.
 No product is ever keyed.  Atoms come out in key order directly: with
 noncommuting labels by label, then in the child cell's order; with commuting
 labels the chains sort by (1, l1, 1, l2, ..., the root tag, the root's index
-in its cell).  The key is a prefix code, so products compare as the tuples of
+in its cell).  At degree 1 the only root is *, so a cell's one atom is its
+outermost label over the atom one label below; above, the roots are the
+products of each cell, which follow its atoms in the cell tuple.  The key is a prefix code, so products compare as the tuples of
 their factors' ranks, a rank being the position among the cell's head atoms
 (all atoms of the types (r1, s1) with r1 < r), which are keyed once per
 cell.  A sequence takes its heads in rank order, each followed by the tails
@@ -37,7 +39,7 @@ from operator import itemgetter
 
 from . import counting
 from .counting import _box, _sub
-from .monomial import STAR, Monomial, Product, Regime, Star, Unary, canonical_key, factors
+from .monomial import STAR, Monomial, Product, Regime, Unary, canonical_key, factors
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -69,15 +71,23 @@ def _atoms(regime: Regime, d: int, r: int, s: tuple[int, ...]) -> tuple[Monomial
                 child_s = s[:i] + (s[i] - 1,) + s[i + 1:]
                 out += [Unary(i + 1, c) for c in _monomials(regime, d, r, child_s)]
         return tuple(out)
+    if r == 1:  # one chain over *: its outermost label over the chain below
+        if any(s):
+            i = next(i for i, n in enumerate(s) if n)
+            below = _atoms(regime, d, 1, s[:i] + (s[i] - 1,) + s[i + 1:])
+            out = [Unary(i + 1, below[0])]
+        return tuple(out)
+    # above r = 1 a chain's root is a product: one that follows the atoms in
+    # the tuple of its cell
     chains = []
     for t in _box(s):
         if any(t):
-            cell = _monomials(regime, d, r, _sub(s, t))
-            roots = [(j, c) for j, c in enumerate(cell) if type(c) is not Unary]
-            if roots:
+            rest = _sub(s, t)
+            cell = _monomials(regime, d, r, rest)
+            first = len(_atoms(regime, d, r, rest))
+            if first < len(cell):
                 labels = tuple(x for i, n in enumerate(t, 1) for x in (1, i) * n)
-                chains += [(labels + (0 if type(c) is Star else 2, j), t, c)
-                           for j, c in roots]
+                chains += [(labels + (2, j), t, cell[j]) for j in range(first, len(cell))]
     chains.sort(key=itemgetter(0))
     return tuple(out + [_wrap_chain(t, c) for _, t, c in chains])
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import gc
 
-from opmono import STAR, Monomial, Product, Star, Unary, compositions, product
+from opmono import STAR, Monomial, Product, Regime, Star, Unary, compositions, counting, product
 
 
 def random_monomial(rng, d: int, max_atoms: int) -> Monomial:
@@ -88,3 +88,12 @@ def nested_key(m: Monomial):
     if isinstance(m, Unary):
         return (1, m.label, nested_key(m.child))
     return (2,) + tuple(nested_key(f) for f in m.factors)
+
+
+def full_lattice_lengths(regime: Regime, d: int, ell: int, n_max: int) -> tuple[int, ...]:
+    """Length counts for 0 <= n <= n_max (0 at n = 0) from one cold run of
+    the recurrence on the full z lattice with the unhalved layer: the
+    reference that the shared, halved and extended tables must reproduce."""
+    layer = counting.layer_lengths(regime.unary_commute, d, n_max)
+    values = counting._length_values(layer, ell, n_max, regime.mult_commute)
+    return (0, *values[1:])

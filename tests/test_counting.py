@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import time
@@ -18,11 +19,13 @@ from opmono import (
     compositions,
     free_length_closed,
     free_length_closed_table,
+    growth_estimate,
     length_sequence,
     multinomial,
+    series_for,
     narayana,
 )
-from helpers import multidegrees
+from helpers import full_lattice_lengths, multidegrees
 
 
 class TestNarayana:
@@ -206,6 +209,82 @@ class TestLengthSequences:
             length_sequence(Regime.FREE, 0, 1, 5)
         with pytest.raises(ValueError):
             length_sequence(Regime.FREE, 1, 0, 5)
+
+
+# SHA-256 of table_prefix over the grid of test_table_prefix_output_is_pinned,
+# taken before the tables were shared, halved and extended
+TABLE_PREFIX_SHA256 = "9ebeb7d8718e6f4fbef9b03acf2ef5fd851407ec09a3083066b1925c054d37e5"
+
+
+class TestSharedLengthTable:
+    """One checked table per family, on the z^2 lattice when ell is even,
+    extended on demand and read by every caller."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(list(Regime)), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 80), st.integers(1, 80))
+    def test_extended_table_matches_cold_and_full_lattice(self, regime, d, ell, n1, n2):
+        counting._length_table.cache_clear()
+        length_sequence(regime, d, ell, n1)
+        warm = length_sequence(regime, d, ell, n2).values
+        counting._length_table.cache_clear()
+        cold = length_sequence(regime, d, ell, n2).values
+        assert warm == cold == full_lattice_lengths(regime, d, ell, n2)
+
+    @pytest.mark.parametrize("regime", [Regime.COMM_UNARY, Regime.COMM_BOTH],
+                             ids=["c", "cm"])
+    def test_truncated_commuting_layer_grows_on_extension(self, regime):
+        # at d = 40 the layer read at n_max = 10 stops at shift 10; the
+        # extension to 40 must read the shifts up to 40
+        counting._length_table.cache_clear()
+        length_sequence(regime, 40, 2, 10)
+        warm = length_sequence(regime, 40, 2, 40).values
+        counting._length_table.cache_clear()
+        assert warm == length_sequence(regime, 40, 2, 40).values
+        assert warm == tuple(series_for(regime, 40, 2, 40).coeffs)
+
+    def test_prefix_is_a_slice_of_the_table(self):
+        counting._length_table.cache_clear()
+        long = length_sequence(Regime.COMM_MULT, 2, 2, 60).values
+        assert length_sequence(Regime.COMM_MULT, 2, 2, 25).values == long[:26]
+        info = counting._length_table.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert len(counting._length_table(False, True, 2, 2)) == 31  # t = z^2
+
+    def test_growth_estimate_reads_the_shared_table(self):
+        counting._length_table.cache_clear()
+        values = length_sequence(Regime.COMM_MULT, 1, 2, 200).values
+        table = counting._length_table(False, True, 1, 2)
+        g = float(growth_estimate(Regime.COMM_MULT, 1, 2, 99).g)
+        assert counting._length_table(False, True, 1, 2) is table and len(table) == 101
+        assert g == pytest.approx((values[200] / values[198]) ** 0.5 * (100 / 99) ** 0.75)
+
+    def test_failed_check_stores_nothing(self, monkeypatch):
+        counting._length_table.cache_clear()
+        length_sequence(Regime.FREE, 2, 1, 10)
+        before = list(counting._length_table(False, False, 2, 1))
+        monkeypatch.setattr(counting, "free_length_closed_table",
+                            lambda d, ell, n_max: [0] * (n_max + 1))
+        with pytest.raises(counting.SelfCheckError, match="closed sum"):
+            length_sequence(Regime.FREE, 2, 1, 20)
+        assert counting._length_table(False, False, 2, 1) == before
+
+    def test_lattice_step_must_divide_ell(self):
+        with pytest.raises(counting.SelfCheckError, match="lattice"):
+            counting._extend_table([1], False, False, 1, 3, 2, 12)
+
+    def test_table_prefix_output_is_pinned(self):
+        counting._length_table.cache_clear()
+        h = hashlib.sha256()
+        for code in ("free", "c", "m", "cm"):
+            for d in (1, 2, 3):
+                for ell in (1, 2, 3, 4):
+                    for offset in (0, 1):
+                        terms = counting.table_prefix(Regime.from_code(code), d, ell,
+                                                      150, offset)
+                        h.update(f"{code} d={d} ell={ell} offset={offset}: "
+                                 f"{','.join(map(str, terms))}\n".encode())
+        assert h.hexdigest() == TABLE_PREFIX_SHA256
 
 
 class TestUnaryLayer:
