@@ -14,13 +14,13 @@ its atoms, then its products.  :func:`enumerate_monomials` fills the cells
 (r', s') <= (r, s) in order, r' ascending and s' in box order, so a cell only
 reads filled cells and a deep chain costs no recursion.
 
-No product is ever keyed.  Atoms come out in key order directly: with
-noncommuting labels by label, then in the child cell's order; with commuting
-labels the chains sort by (1, l1, 1, l2, ..., the root tag, the root's index
-in its cell).  At degree 1 the only root is *, so a cell's one atom is its
-outermost label over the atom one label below; above, the roots are the
-products of each cell, which follow its atoms in the cell tuple.  The key is a prefix code, so products compare as the tuples of
-their factors' ranks, a rank being the position among the cell's head atoms
+No product is ever keyed.  Atoms come out in key order directly: the key of
+Pi(c) is (1, i) followed by the key of c, so the atoms go label by label,
+each over the child cell in its order.  With commuting labels a chain is
+its outermost (smallest) label over a child that is a product, * or a chain
+starting at that label or above, so each chain is built once, from the
+chain one label shorter.  The key is a prefix code, so products compare as
+the tuples of their factors' ranks, a rank being the position among the cell's head atoms
 (all atoms of the types (r1, s1) with r1 < r), which are keyed once per
 cell.  A sequence takes its heads in rank order, each followed by the tails
 of the complementary cell sorted once by rank tuple.  A multiset picks, for
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from operator import itemgetter
 
 from . import counting
 from .counting import _box, _sub
@@ -53,43 +52,19 @@ class EnumerationCapExceeded(RuntimeError):
 DEFAULT_CAP = 10 ** 7
 
 
-def _wrap_chain(t, root: Monomial) -> Monomial:
-    # weakly increasing labels from the outside in
-    out = root
-    for label in range(len(t), 0, -1):
-        for _ in range(t[label - 1]):
-            out = Unary(label, out)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _atoms(regime: Regime, d: int, r: int, s: tuple[int, ...]) -> tuple[Monomial, ...]:
+    # keys (1, i, key(child)): by label, then in the child cell's order; with
+    # commuting labels a child chain starts at label i or above, so every
+    # chain is read outside in as weakly increasing
     out: list[Monomial] = [STAR] if r == 1 and not any(s) else []
-    if not regime.unary_commute:
-        for i in range(d):  # keys (1, i, key(child)): by label, then child
-            if s[i]:
-                child_s = s[:i] + (s[i] - 1,) + s[i + 1:]
-                out += [Unary(i + 1, c) for c in _monomials(regime, d, r, child_s)]
-        return tuple(out)
-    if r == 1:  # one chain over *: its outermost label over the chain below
-        if any(s):
-            i = next(i for i, n in enumerate(s) if n)
-            below = _atoms(regime, d, 1, s[:i] + (s[i] - 1,) + s[i + 1:])
-            out = [Unary(i + 1, below[0])]
-        return tuple(out)
-    # above r = 1 a chain's root is a product: one that follows the atoms in
-    # the tuple of its cell
-    chains = []
-    for t in _box(s):
-        if any(t):
-            rest = _sub(s, t)
-            cell = _monomials(regime, d, r, rest)
-            first = len(_atoms(regime, d, r, rest))
-            if first < len(cell):
-                labels = tuple(x for i, n in enumerate(t, 1) for x in (1, i) * n)
-                chains += [(labels + (2, j), t, cell[j]) for j in range(first, len(cell))]
-    chains.sort(key=itemgetter(0))
-    return tuple(out + [_wrap_chain(t, c) for _, t, c in chains])
+    commuting = regime.unary_commute
+    for i in range(1, d + 1):
+        if s[i - 1]:
+            child_s = s[:i - 1] + (s[i - 1] - 1,) + s[i:]
+            out += [Unary(i, c) for c in _monomials(regime, d, r, child_s)
+                    if not commuting or type(c) is not Unary or c.label >= i]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
