@@ -16,15 +16,15 @@ reads filled cells and a deep chain costs no recursion.
 
 No product is ever keyed.  Atoms come out in key order directly: the key of
 Pi(c) is (1, i) followed by the key of c, so the atoms go label by label,
-each over the child cell in its order.  With commuting labels a chain is
-its outermost (smallest) label over a child that is a product, * or a chain
-starting at that label or above, so each chain is built once, from the
-chain one label shorter.  The key is a prefix code, so products compare as
-the tuples of their factors' ranks, a rank being the position among the cell's head atoms
-(all atoms of the types (r1, s1) with r1 < r), which are keyed once per
-cell.  A sequence takes its heads in rank order, each followed by the tails
-of the complementary cell sorted once by rank tuple.  A multiset picks, for
-each weight type it uses, a multiset of that type's atoms by
+each over the child cell in its order.  With commuting labels a chain is its
+outermost (smallest) label over a child that is a product, * or a chain
+starting at that label or above, so each chain is built once, from the chain
+one label shorter.  The key is a prefix code, so products compare as the
+tuples of their factors' ranks, a rank being the position among the cell's
+head atoms (all atoms of the types (r1, s1) with r1 < r), which are keyed
+once per cell.  A sequence takes its heads in rank order, each followed by
+the tails of the complementary cell sorted once by rank tuple.  A multiset
+picks, for each weight type it uses, a multiset of that type's atoms by
 ``combinations_with_replacement``, one recursion level per type used (so at
 most r deep), and its rank tuples are sorted.  The caches hold monomials
 only: keeping a key beside every cached monomial more than doubles the
@@ -55,8 +55,7 @@ DEFAULT_CAP = 10 ** 7
 @lru_cache(maxsize=None)
 def _atoms(regime: Regime, d: int, r: int, s: tuple[int, ...]) -> tuple[Monomial, ...]:
     # keys (1, i, key(child)): by label, then in the child cell's order; with
-    # commuting labels a child chain starts at label i or above, so every
-    # chain is read outside in as weakly increasing
+    # commuting labels the child may not be a chain starting below label i
     out: list[Monomial] = [STAR] if r == 1 and not any(s) else []
     commuting = regime.unary_commute
     for i in range(1, d + 1):
