@@ -22,8 +22,8 @@ from opmono import (
     growth_estimate,
     length_sequence,
     multinomial,
-    series_for,
     narayana,
+    series_for,
 )
 from helpers import full_lattice_lengths, multidegrees
 
@@ -212,7 +212,7 @@ class TestLengthSequences:
 
 
 # SHA-256 of table_prefix over the grid of test_table_prefix_output_is_pinned,
-# taken before the tables were shared, halved and extended
+# as computed by a cold full-lattice recurrence for every request
 TABLE_PREFIX_SHA256 = "9ebeb7d8718e6f4fbef9b03acf2ef5fd851407ec09a3083066b1925c054d37e5"
 
 

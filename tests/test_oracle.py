@@ -87,11 +87,10 @@ def test_deep_chain_within_default_recursion_limit():
     assert proc.returncode == 0 and proc.stdout == "P1(" * 1000 + "*" + ")" * 1000 + "\n"
 
 
-
 @pytest.mark.parametrize("regime", [Regime.COMM_UNARY, Regime.COMM_BOTH], ids=["c", "cm"])
-def test_commuting_chain_reads_only_root_cells(regime):
-    # at degree 1 the only non-unary root is *, so each cell of the chain
-    # reads one cell below it and not every chain vector of its box
+def test_commuting_chain_reads_one_cell_below(regime):
+    # each atom of the chain is one label over the atom one cell below it,
+    # not a scan of every chain vector of its box
     k = 1000
     oracle._atoms.cache_clear()
     oracle._monomials.cache_clear()
@@ -99,6 +98,7 @@ def test_commuting_chain_reads_only_root_cells(regime):
     hits = oracle._atoms.cache_info().hits + oracle._monomials.cache_info().hits
     assert got == [parse_monomial("P1(" * k + "*" + ")" * k)]
     assert hits <= 10 * k
+
 
 def test_matches_counting_engine_small():
     for regime in Regime:
