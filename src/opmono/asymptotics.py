@@ -13,6 +13,7 @@ opmono does not pay for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -58,8 +59,8 @@ def _bisect(f, a, b, tol):
             a, fa = c, fc
         else:
             b, fb = c, fc
-    raise ArithmeticError("bisection did not reach the requested tolerance; "
-                          "tol is below the working precision")
+    raise ValueError("bisection did not reach the requested tolerance; "
+                     "tol is below the working precision")
 
 
 def _exact_root(regime: Regime, d: int, ell: int, tol: float) -> GrowthResult:
@@ -67,8 +68,8 @@ def _exact_root(regime: Regime, d: int, ell: int, tol: float) -> GrowthResult:
     # the left side increases from 0 to sqrt(w(1)) + 1 on (0, 1).
     import mpmath
 
-    if d < 1 or ell < 1 or tol <= 0:
-        raise ValueError("need d >= 1, ell >= 1 and tol > 0")
+    if d < 1 or ell < 1 or not 0 < tol < math.inf:  # also rejects nan
+        raise ValueError("need d >= 1, ell >= 1 and a finite tol > 0")
     with mpmath.workprec(_PREC_BITS):
         commuting = regime.unary_commute
         f = lambda z: mpmath.sqrt(layer_weight(commuting, d, z)) + mpmath.sqrt(z) ** ell - 1

@@ -62,31 +62,68 @@ class OrderedTree(_ByPreorder):
 
 
 def to_ordered_tree(m: Monomial) -> OrderedTree:
-    if isinstance(m, Star):
-        return OrderedTree(None, ())
-    if isinstance(m, Unary):
-        return OrderedTree(m.label, (to_ordered_tree(m.child),))
-    return OrderedTree(None, tuple(to_ordered_tree(f) for f in m.factors))
+    leaf = OrderedTree(None, ())
+    done: list[OrderedTree] = []  # finished subtrees, in order
+    # subterms to visit, and frames to finish after their subterms: a label
+    # list (outside in) for a maximal unary chain, a factor count for a product
+    todo: list = [m]
+    while todo:
+        v = todo.pop()
+        if type(v) is Star:
+            done.append(leaf)
+        elif type(v) is Unary:
+            labels = []
+            while type(v) is Unary:
+                labels.append(v.label)
+                v = v.child
+            todo += (labels, v)
+        elif type(v) is Product:
+            todo.append(len(v.factors))
+            todo.extend(reversed(v.factors))
+        elif type(v) is int:
+            children = tuple(done[-v:])
+            del done[-v:]
+            done.append(OrderedTree(None, children))
+        else:
+            node = done.pop()
+            for label in reversed(v):
+                node = OrderedTree(label, (node,))
+            done.append(node)
+    return done[0]
 
 
 def from_ordered_tree(t: OrderedTree) -> Monomial:
-    if not t.children:
-        if t.label is not None:
-            raise ValueError("a labeled node must have exactly one child")
-        return STAR
-    if t.label is not None:
-        if len(t.children) != 1:
-            raise ValueError("a labeled node must have exactly one child")
-        return Unary(t.label, from_ordered_tree(t.children[0]))
-    if len(t.children) < 2:
-        raise ValueError("an unlabeled internal node needs >= 2 children")
-    parts = []
-    for c in t.children:
-        sub = from_ordered_tree(c)
-        if isinstance(sub, Product):
-            raise ValueError("product node directly under a product node")
-        parts.append(sub)
-    return Product(tuple(parts))
+    """Inverse of :func:`to_ordered_tree`; raises ValueError on a tree that
+    is not the image of a monomial."""
+    done: list[Monomial] = []  # finished subterms, in order
+    # nodes to visit, and frames to finish after their subtrees: a label for
+    # a unary node, the children tuple for a product
+    todo: list = [t]
+    while todo:
+        v = todo.pop()
+        if type(v) is OrderedTree:
+            label, children = v.label, v.children
+            if label is not None:
+                if len(children) != 1:
+                    raise ValueError("a labeled node must have exactly one child")
+                todo += (label, children[0])
+            elif not children:
+                done.append(STAR)
+            elif len(children) < 2:
+                raise ValueError("an unlabeled internal node needs >= 2 children")
+            else:
+                for c in children:
+                    if c.label is None and len(c.children) > 1:
+                        raise ValueError("product node directly under a product node")
+                todo.append(children)
+                todo.extend(reversed(children))
+        elif type(v) is int:
+            done.append(Unary(v, done.pop()))
+        else:
+            parts = tuple(done[-len(v):])
+            del done[-len(v):]
+            done.append(Product(parts))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,17 @@ Subcommands: count, sequence, table, enumerate, series, growth, paths,
 trees, verify, bfile.  Exit codes: 0 success, 1 verification mismatch,
 2 usage error (including an unreadable fixture file), 3 enumeration cap
 exceeded.
+
+Every call is a fresh process, so each subcommand imports the modules it
+calls itself, inside its function: ``count`` loads only ``counting`` and
+``monomial``, and only ``growth`` pays for ``mpmath``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import asymptotics, bijections, counting, fixtures, oracle, series
 from .monomial import Regime, encode_word, format_monomial, word_to_text
 
 REGIME_CODES = [r.value for r in Regime]
@@ -30,18 +32,28 @@ def _add_regime(sp, default=None):
     sp.add_argument("--regime", choices=REGIME_CODES, **kwargs)
 
 
+def _enumerate(args, regime: Regime) -> list:
+    from . import oracle
+
+    cap = oracle.DEFAULT_CAP if args.cap is None else args.cap
+    return oracle.enumerate_monomials(args.d, args.r, _svec(args.s), regime, cap=cap)
+
+
 def cmd_count(args) -> int:
-    s = _svec(args.s)
     regime = Regime.from_code(args.regime)
     if args.oracle:
-        value = len(oracle.enumerate_monomials(args.d, args.r, s, regime, cap=args.cap))
+        value = len(_enumerate(args, regime))
     else:
-        value = counting.count(regime, args.d, args.r, s)
+        from . import counting
+
+        value = counting.count(regime, args.d, args.r, _svec(args.s))
     print(value)
     return 0
 
 
 def cmd_sequence(args) -> int:
+    from . import counting
+
     terms = counting.table_prefix(Regime.from_code(args.regime), args.d, args.ell,
                                   args.terms)
     if args.format == "plain":
@@ -51,12 +63,16 @@ def cmd_sequence(args) -> int:
         for n, t in enumerate(terms, start=1):
             print(f"{n},{t}")
     else:
+        import json
+
         print(json.dumps({"regime": args.regime, "d": args.d, "ell": args.ell,
                           "terms": terms}))
     return 0
 
 
 def cmd_table(args) -> int:
+    from . import counting, oracle
+
     regime = Regime.from_code(args.regime)
     if args.rmax < 1 or args.smax < 0:
         raise ValueError("need --rmax >= 1 and --smax >= 0")
@@ -66,6 +82,8 @@ def cmd_table(args) -> int:
             for s in oracle.compositions(k, args.d):
                 rows.append((r, s, counting.count(regime, args.d, r, s)))
     if args.format == "json":
+        import json
+
         print(json.dumps([{"r": r, "s": list(s), "value": v} for r, s, v in rows]))
         return 0
     sep = "," if args.format == "csv" else "\t"
@@ -76,9 +94,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    regime = Regime.from_code(args.regime)
-    s = _svec(args.s)
-    monomials = oracle.enumerate_monomials(args.d, args.r, s, regime, cap=args.cap)
+    monomials = _enumerate(args, Regime.from_code(args.regime))
     if args.count_only:
         print(len(monomials))
         return 0
@@ -88,6 +104,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from . import series
+
     regime = Regime.from_code(args.regime)
     if args.method == "auto":
         ser = series.series_for(regime, args.d, args.ell, args.order)
@@ -106,6 +124,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    from . import asymptotics
+
     res = asymptotics.growth(Regime.from_code(args.regime), args.d, args.ell,
                              tol=args.tol, n=args.n)
     if res.method == "exact-root":
@@ -116,6 +136,8 @@ def cmd_growth(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    from . import bijections
+
     items = bijections.all_lattice_paths(args.d, args.ell, args.span)
     if args.check:
         items = [p for p in items if bijections.matched_ascent_monotone(p)]
@@ -128,6 +150,8 @@ def cmd_paths(args) -> int:
 
 
 def cmd_trees(args) -> int:
+    from . import bijections
+
     items = bijections.all_binary_trees(args.vertices, args.d)
     if args.check:
         items = [t for t in items if bijections.right_chain_monotone(t)]
@@ -140,6 +164,8 @@ def cmd_trees(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import fixtures
+
     if args.fixture_file:
         entries = fixtures.load_fixture_file(args.fixture_file)
     else:
@@ -158,6 +184,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bfile(args) -> int:
+    from . import counting
+
     terms = counting.table_prefix(Regime.from_code(args.regime), args.d, args.ell,
                                   args.terms, args.offset, raw=args.raw_length)
     for pos, value in enumerate(terms, start=args.offset):
@@ -180,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", required=True, help="multiplicities, e.g. 2,1")
     sp.add_argument("--oracle", action="store_true",
                     help="count by brute-force enumeration instead of formulas")
-    sp.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    sp.add_argument("--cap", type=int)
     sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("sequence", help="length-graded sequence prefix")
@@ -208,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--words", action="store_true",
                     help="print token words instead of the P-grammar")
-    sp.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    sp.add_argument("--cap", type=int)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("series", help="generating-series coefficients")
@@ -268,12 +296,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except oracle.EnumerationCapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RuntimeError as e:
+        # the oracle is loaded whenever its cap error is raised; any other
+        # RuntimeError (a SelfCheckError) is a bug and keeps its traceback
+        from .oracle import EnumerationCapExceeded
+
+        if not isinstance(e, EnumerationCapExceeded):
+            raise
+        print(f"error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ bug rather than bad input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product as cartesian
 from operator import mul
@@ -224,14 +223,46 @@ def count_comm_both(d: int, r: int, s) -> int:
 # ---------------------------------------------------------------------------
 # Length-graded sequences: n = ell*r + 2*|s|.
 
-@dataclass(frozen=True)
 class LengthSequence:
-    """Counts by word length, values[n] for 1 <= n <= n_max (values[0] = 0)."""
+    """Counts by word length, values[n] for 1 <= n <= n_max (values[0] = 0).
 
+    Immutable; equal when the fields are equal."""
+
+    __slots__ = __match_args__ = ("regime", "d", "ell", "values")
     regime: Regime
     d: int
     ell: int
     values: tuple[int, ...]
+
+    def __init__(self, regime: Regime, d: int, ell: int, values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("LengthSequence is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("LengthSequence is immutable")
+
+    def _fields(self) -> tuple:
+        return self.regime, self.d, self.ell, self.values
+
+    def __reduce__(self):
+        return LengthSequence, self._fields()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"LengthSequence(regime={self.regime!r}, d={self.d!r}, "
+                f"ell={self.ell!r}, values={self.values!r})")
 
     @property
     def n_max(self) -> int:

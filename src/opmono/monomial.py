@@ -25,7 +25,6 @@ tag, so tuple order on codes is the order of the nested keys (0,),
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
@@ -52,9 +51,16 @@ class Regime(Enum):
 
 
 class Monomial:
-    """Base of Star, Unary and Product; equal when their words are equal."""
+    """Base of Star, Unary and Product; immutable, and equal when their
+    words are equal."""
 
     __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Monomial):
@@ -68,31 +74,39 @@ class Monomial:
         return f"Monomial({format_monomial(self)!r})"
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Star(Monomial):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Unary(Monomial):
+    __slots__ = __match_args__ = ("label", "child")
     label: int
     child: Monomial
 
-    def __post_init__(self) -> None:
-        if self.label < 1:
-            raise ValueError(f"unary label must be >= 1, got {self.label}")
+    def __init__(self, label: int, child: Monomial) -> None:
+        if label < 1:
+            raise ValueError(f"unary label must be >= 1, got {label}")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "child", child)
+
+    def __reduce__(self):
+        return Unary, (self.label, self.child)
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Product(Monomial):
+    __slots__ = __match_args__ = ("factors",)
     factors: tuple[Monomial, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.factors) < 2:
+    def __init__(self, factors: tuple[Monomial, ...]) -> None:
+        if len(factors) < 2:
             raise ValueError("a product needs at least two factors")
-        for f in self.factors:
+        for f in factors:
             if isinstance(f, Product):
                 raise ValueError("product factors must be atoms; flatten first")
+        object.__setattr__(self, "factors", factors)
+
+    def __reduce__(self):
+        return Product, (self.factors,)
 
 
 STAR = Star()

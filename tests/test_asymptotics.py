@@ -105,6 +105,13 @@ def test_bad_arguments():
         growth_free(0, 1)
     with pytest.raises(ValueError):
         growth_free(1, 1, tol=0)
+    for tol in (math.inf, math.nan):  # inf used to stop at the first midpoint
+        with pytest.raises(ValueError):
+            growth_comm_unary(2, 2, tol=tol)
+        with pytest.raises(ValueError):
+            growth_free(2, 2, tol=tol)
+    with pytest.raises(ValueError, match="below the working precision"):
+        growth_free(2, 4, tol=1e-300)
     with pytest.raises(ValueError):
         growth_estimate(Regime.COMM_MULT, 1, 2, 0)
 

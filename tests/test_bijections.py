@@ -113,6 +113,39 @@ class TestOrderedTrees:
         with pytest.raises(ValueError):
             from_ordered_tree(OrderedTree(1, ()))
 
+    def test_product_under_product_rejected(self):
+        leaf = OrderedTree(None, ())
+        inner = OrderedTree(None, (leaf, leaf))
+        with pytest.raises(ValueError, match="product node directly under"):
+            from_ordered_tree(OrderedTree(None, (leaf, inner)))
+        assert from_ordered_tree(OrderedTree(1, (inner,))) == parse_monomial("P1(**)")
+
+    @pytest.mark.parametrize("shape", ["chain", "nest", "wide"])
+    def test_deep_round_trip_within_default_recursion_limit(self, shape):
+        # chain: P1(P1(...P1(*)...)); nest: P1(*P1(*...P1(*)...)), products
+        # nested 3000 deep; wide: one product of 3000 factors P1(*)
+        leaf = OrderedTree(None, ())
+        if shape == "wide":
+            text = "P1(*)" * 3000
+            want = OrderedTree(None, (OrderedTree(1, (leaf,)),) * 3000)
+        else:
+            text = ("P1(" if shape == "chain" else "P1(*") * 3000 + ")" * 3000
+            if shape == "chain":
+                text = text.replace("P1()", "P1(*)")
+            want = OrderedTree(1, (leaf,))
+            for _ in range(2999):
+                inner = want if shape == "chain" else OrderedTree(None, (leaf, want))
+                want = OrderedTree(1, (inner,))
+        m = parse_monomial(text)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            t = to_ordered_tree(m)
+            back = from_ordered_tree(t)
+            assert t == want and back == m
+        finally:
+            sys.setrecursionlimit(limit)
+
 
 class TestPaths:
     def test_star_single_horizontal(self):

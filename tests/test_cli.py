@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opmono.cli import main
 from opmono import fixtures
@@ -113,6 +117,12 @@ class TestGrowth:
         code, out, _ = run(capsys, "growth", "--regime", "cm", "--d", "2",
                            "--ell", "2", "--n", "50")
         assert out.startswith("g_hat = 2.03") and "(n=50)" in out
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_tol_must_be_finite_and_positive(self, capsys, tol):
+        code, out, err = run(capsys, "growth", "--regime", "free", "--d", "2",
+                             "--ell", "2", "--tol", tol)
+        assert code == 2 and out == "" and err.startswith("error: ") and "tol" in err
 
 
 class TestModels:
@@ -276,8 +286,96 @@ class TestFreshProcess:
         proc = self.python("-c", "import sys, opmono; print('mpmath' in sys.modules)")
         assert proc.returncode == 0 and proc.stdout == "False\n"
 
+    SHOW_MODULES = ("import sys\n"
+                    "print(*sorted(m for m in sys.modules if m.startswith('opmono')))\n"
+                    "print(*[m for m in ('dataclasses', 'mpmath', 'fractions', 'json')"
+                    " if m in sys.modules])\n")
+
+    def test_import_loads_no_submodule(self):
+        proc = self.python("-c", "import opmono\n" + self.SHOW_MODULES)
+        assert proc.returncode == 0 and proc.stdout.splitlines() == ["opmono", ""]
+
+    def test_count_loads_only_counting_and_monomial(self):
+        argv = ["count", "--regime", "cm", "--d", "2", "--r", "3", "--s", "1,1"]
+        proc = self.python("-c", f"from opmono.cli import main\nprint(main({argv!r}))\n"
+                           + self.SHOW_MODULES)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "12", "0", "opmono opmono.cli opmono.counting opmono.monomial", ""]
+
     def test_growth_still_prints_g(self):
         proc = self.python("-m", "opmono.cli", "growth", "--regime", "free",
                            "--d", "2", "--ell", "2")
         assert proc.returncode == 0
         assert proc.stdout == "g = 2.414214  rho = 0.414214\n"
+
+
+# Random argv: each subcommand's options, most of them present, with small
+# values (and some junk) so every call stays cheap, and now and then an option
+# from another subcommand.
+_SMALL = st.integers(-1, 4).map(str)
+_VALUES = {
+    "--regime": st.sampled_from(["free", "c", "m", "cm"]),
+    "--r": _SMALL,
+    "--ell": _SMALL,
+    "--terms": st.integers(-1, 12).map(str),
+    "--order": st.integers(-1, 12).map(str),
+    "--rmax": st.integers(-1, 3).map(str),
+    "--smax": st.integers(-1, 3).map(str),
+    "--span": st.integers(-1, 8).map(str),
+    "--vertices": st.integers(-1, 5).map(str),
+    "--n": st.integers(-1, 20).map(str),
+    "--offset": st.integers(-1, 2).map(str),
+    "--cap": st.integers(-1, 20).map(str),
+    "--tol": (st.floats() | st.sampled_from([math.inf, math.nan, 1e-300, 0.0])).map(repr),
+    "--method": st.sampled_from(["auto", "fe", "newton", "euler"]),
+    "--format": st.sampled_from(["plain", "csv", "json"]),
+}
+_OPTIONS = {  # flags take no value
+    "count": ["--regime", "--d", "--r", "--s", "--oracle", "--cap"],
+    "sequence": ["--regime", "--d", "--ell", "--terms", "--format"],
+    "table": ["--regime", "--d", "--rmax", "--smax", "--format"],
+    "enumerate": ["--regime", "--d", "--r", "--s", "--count-only", "--words", "--cap"],
+    "series": ["--regime", "--d", "--ell", "--order", "--method"],
+    "growth": ["--regime", "--d", "--ell", "--tol", "--n"],
+    "paths": ["--d", "--ell", "--span", "--check", "--count-only"],
+    "trees": ["--d", "--vertices", "--check", "--count-only"],
+    "verify": [],
+    "bfile": ["--regime", "--d", "--ell", "--terms", "--offset", "--raw-length"],
+}
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(sorted(_OPTIONS)))
+    d = draw(st.integers(0, 3))
+    svec = st.lists(st.integers(0, 2), min_size=d, max_size=d).map(
+        lambda s: ",".join(map(str, s)))
+    junk = st.sampled_from(["", "1,,2", "a", "-1", "1,2,3,4"])
+    values = dict(_VALUES, **{"--d": st.just(str(d)),
+                              "--s": st.integers(0, 3).flatmap(lambda k: svec if k else junk)})
+    opts = [o for o in _OPTIONS[cmd] if draw(st.integers(0, 9))]
+    if not draw(st.integers(0, 9)):
+        opts.append(draw(st.sampled_from(sorted(values))))
+    argv = [cmd]
+    for opt in draw(st.permutations(opts)):
+        argv += [opt, draw(values[opt])] if opt in values else [opt]
+    if cmd == "verify" and draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["no/such/file", "."])))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_fuzz_main_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects the argv
+            assert e.code == 2, argv
+            return
+    assert code in (0, 1, 2, 3), argv
+    lines = err.getvalue().splitlines()
+    assert all(line.startswith("error: ") for line in lines), (argv, lines)
+    assert (code == 0) == (not lines), (argv, code, lines)

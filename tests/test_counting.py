@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 import sys
 import time
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from opmono import counting
 from opmono import (
+    LengthSequence,
     Regime,
     count,
     count_by_length,
@@ -203,6 +205,18 @@ class TestLengthSequences:
             seq.value(6)
         with pytest.raises(IndexError):
             seq.value(0)
+
+    def test_sequence_is_an_immutable_value(self):
+        seq = length_sequence(Regime.FREE, 1, 2, 6)
+        same = LengthSequence(regime=Regime.FREE, d=1, ell=2, values=(0, 0, 1, 0, 2, 0, 5))
+        assert seq == same and hash(seq) == hash(same) and seq is not same
+        assert seq != LengthSequence(Regime.COMM_UNARY, 1, 2, seq.values)
+        assert seq != (Regime.FREE, 1, 2, seq.values)
+        assert repr(seq) == ("LengthSequence(regime=<Regime.FREE: 'free'>, d=1, ell=2, "
+                             "values=(0, 0, 1, 0, 2, 0, 5))")
+        assert pickle.loads(pickle.dumps(seq)) == seq
+        with pytest.raises(AttributeError):
+            seq.values = ()
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 
 import pytest
@@ -56,6 +58,20 @@ class TestConstruction:
     def test_bad_label(self):
         with pytest.raises(ValueError):
             Unary(0, STAR)
+
+    def test_immutable_with_keyword_fields_and_copies(self):
+        m = Unary(label=2, child=Product(factors=(STAR, Star())))
+        for node, field in ((STAR, "label"), (m, "label"), (m.child, "factors")):
+            with pytest.raises(AttributeError):
+                setattr(node, field, 1)
+            with pytest.raises(AttributeError):
+                delattr(node, field)
+        assert (m.label, m.child.factors) == (2, (STAR, STAR))
+        for copied in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert copied == m and type(copied.child) is Product
+        match m:
+            case Unary(label, Product(factors)):
+                assert (label, len(factors)) == (2, 2)
 
 
 class TestGradings:
