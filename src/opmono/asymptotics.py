@@ -1,30 +1,27 @@
 """Exponential growth rates of the length-graded families.
 
-For the noncommutative-product regimes the growth rate is exact: it is the
-reciprocal of the root rho of sqrt(w(rho)) + rho^(ell/2) = 1, with w the
-unary-layer weight, isolated by bisection (the left side is strictly
-increasing on (0, 1)).  For the commutative-product regimes no comparable
-closed equation is available, so a finite-n ratio estimator with the
-n^(-3/2) subexponential correction is reported instead.
-
-``mpmath`` is imported by the functions that use it, so that importing
-opmono does not pay for it.
+For the noncommutative-product regimes the growth rate is exact and
+certified.  It is 1/rho, where the quadratic's discriminant vanishes:
+sqrt(w(rho)) + rho^(ell/2) = 1, with w the unary-layer weight.  With
+t = sqrt(rho) that is the one root in (0, 1) of the integer polynomial
+F(t) = (1 - t^ell)^2 - w(t^2), which falls strictly from 1 at t = 0 to
+-w(1) at t = 1.  Bisection on the exact sign of F over Fractions brackets
+the root, so the returned rho is within tol/2 of the true one.  For the
+commutative-product regimes no comparable closed equation is available, so
+a finite-n ratio estimator with the n^(-3/2) subexponential correction is
+reported instead.  All arithmetic is exact, from the standard library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from fractions import Fraction
 
 from .counting import layer_weight, length_sequence
 from .monomial import Regime
 
-if TYPE_CHECKING:
-    import mpmath
-
-_PREC_BITS = 192  # working precision for bisection and the estimator
-_MAX_BISECT = 600
+_PREC_BITS = 192  # the finest tol is 2^-192; the estimate keeps 192 bits
 
 
 @dataclass(frozen=True)
@@ -32,50 +29,31 @@ class GrowthResult:
     regime: Regime
     d: int
     ell: int
-    g: mpmath.mpf
+    g: Fraction
     method: str                       # "exact-root" or "ratio-estimate"
-    rho: mpmath.mpf | None = None     # exact-root only; g == 1/rho
+    rho: Fraction | None = None       # exact-root only; g == 1/rho
     estimate_n: int | None = None     # ratio-estimate only
-    tol: float | None = None
-
-
-def _bisect(f, a, b, tol):
-    """Root of a monotone f on [a, b] with a sign change; stops once both the
-    bracket width and |f| at the midpoint are below tol."""
-    fa = f(a)
-    fb = f(b)
-    if fa == 0:
-        return a
-    if fb == 0:
-        return b
-    if (fa < 0) == (fb < 0):
-        raise ValueError("no sign change on the bracketing interval")
-    for _ in range(_MAX_BISECT):
-        c = (a + b) / 2
-        fc = f(c)
-        if fc == 0 or (b - a < tol and abs(fc) < tol):
-            return c
-        if (fc < 0) == (fa < 0):
-            a, fa = c, fc
-        else:
-            b, fb = c, fc
-    raise ValueError("bisection did not reach the requested tolerance; "
-                     "tol is below the working precision")
+    tol: float | None = None          # exact-root only; |rho - rho*| < tol/2
 
 
 def _exact_root(regime: Regime, d: int, ell: int, tol: float) -> GrowthResult:
-    # The quadratic's discriminant vanishes where sqrt(w) + sqrt(rho)^ell = 1;
-    # the left side increases from 0 to sqrt(w(1)) + 1 on (0, 1).
-    import mpmath
-
     if d < 1 or ell < 1 or not 0 < tol < math.inf:  # also rejects nan
         raise ValueError("need d >= 1, ell >= 1 and a finite tol > 0")
-    with mpmath.workprec(_PREC_BITS):
-        commuting = regime.unary_commute
-        f = lambda z: mpmath.sqrt(layer_weight(commuting, d, z)) + mpmath.sqrt(z) ** ell - 1
-        rho = _bisect(f, mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(tol))
-        g = 1 / rho
-    return GrowthResult(regime, d, ell, g, "exact-root", rho=rho, tol=tol)
+    if tol < 2.0 ** -_PREC_BITS:
+        raise ValueError(f"tol {tol!r} is below the working precision 2^-{_PREC_BITS}")
+    commuting = regime.unary_commute
+    lo, hi = Fraction(0), Fraction(1)  # F(lo) > 0 > F(hi); rho* in [lo^2, hi^2]
+    while hi * hi - lo * lo >= tol:
+        mid = (lo + hi) / 2
+        f = (1 - mid ** ell) ** 2 - layer_weight(commuting, d, mid * mid)
+        if f > 0:
+            lo = mid
+        elif f < 0:
+            hi = mid
+        else:
+            lo = hi = mid
+    rho = (lo * lo + hi * hi) / 2
+    return GrowthResult(regime, d, ell, 1 / rho, "exact-root", rho=rho, tol=tol)
 
 
 def growth_free(d: int, ell: int, tol: float = 1e-12) -> GrowthResult:
@@ -97,19 +75,16 @@ def growth_estimate(regime: Regime, d: int, ell: int, n: int) -> GrowthResult:
     Intended for the commutative-product regimes, which have no exact-root
     equation here, but usable on any regime for cross-checks.  The two
     terms are read from the family's shared length table, which is extended
-    to length 2n + 2 only if it is shorter."""
-    import mpmath
-
+    to length 2n + 2 only if it is shorter.  g is the integer fourth root of
+    g^4 = (b(2n+2)/b(2n))^2 * ((n+1)/n)^3 on a 2^-192 grid, rounded down."""
     if n < 1:
         raise ValueError("n must be >= 1")
     seq = length_sequence(regime, d, ell, 2 * n + 2)
     lo, hi = seq.value(2 * n), seq.value(2 * n + 2)
     if lo == 0:
         raise ValueError(f"sequence vanishes at length {2 * n}; increase n")
-    with mpmath.workprec(_PREC_BITS):
-        ratio = mpmath.mpf(hi) / mpmath.mpf(lo)
-        corr = (mpmath.mpf(n + 1) / n) ** (mpmath.mpf(3) / 4)
-        g = mpmath.sqrt(ratio) * corr
+    g4 = (hi * hi * (n + 1) ** 3 << 4 * _PREC_BITS) // (lo * lo * n ** 3)
+    g = Fraction(math.isqrt(math.isqrt(g4)), 1 << _PREC_BITS)
     return GrowthResult(regime, d, ell, g, "ratio-estimate", estimate_n=n)
 
 

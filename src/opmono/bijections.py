@@ -10,7 +10,6 @@ enumerator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .monomial import (
     STAR,
@@ -20,8 +19,6 @@ from .monomial import (
     Unary,
     decode_word,
     encode_word,
-    factors,
-    product,
 )
 
 
@@ -325,60 +322,110 @@ class BinaryTree(_ByPreorder):
 
 
 def count_vertices(t: BinaryTree | None) -> int:
-    if t is None:
-        return 0
-    return 1 + count_vertices(t.left) + count_vertices(t.right)
+    n = 0
+    todo = [t]  # subtrees still to count; each is walked down its left spine
+    while todo:
+        v = todo.pop()
+        while v is not None:
+            n += 1
+            if v.right is not None:
+                todo.append(v.right)
+            v = v.left
+    return n
 
 
 def to_binary_tree(m: Monomial | None) -> BinaryTree | None:
+    """The atoms of a product hang off the left spine, the first atom at the
+    bottom; an atom P_i(c) is a right edge labeled i into the tree of c.
+    Built in one pass over the bracketed word."""
     if m is None:
         return None
-    parts = factors(m)
-    prefix = product(parts[:-1]) if len(parts) > 1 else None
-    last = parts[-1]
-    if isinstance(last, Star):
-        return BinaryTree(to_binary_tree(prefix), None, None)
-    return BinaryTree(to_binary_tree(prefix), last.label, to_binary_tree(last.child))
+    # the spine inside the innermost open delimiter, and the spines it interrupts
+    tree, outer = None, []
+    for x in encode_word(m):
+        if x == 0:
+            tree = BinaryTree(tree, None, None)
+        elif x > 0:
+            outer.append(tree)
+            tree = None
+        else:
+            tree = BinaryTree(outer.pop(), -x, tree)
+    return tree
+
+
+def _left_spine(t: BinaryTree | None) -> list[BinaryTree]:
+    """The vertices on t's left spine, from the root down."""
+    out = []
+    while t is not None:
+        out.append(t)
+        t = t.left
+    return out
 
 
 def from_binary_tree(t: BinaryTree | None, d: int) -> Monomial | None:
+    """Inverse of :func:`to_binary_tree`; raises ValueError on a right-edge
+    label outside [1, d]."""
     if t is None:
         return None
-    left = from_binary_tree(t.left, d)
-    if t.right_label is None:
-        last: Monomial = STAR
-    else:
-        if not 1 <= t.right_label <= d:
-            raise ValueError(f"label {t.right_label} out of range [1, {d}]")
-        inner = from_binary_tree(t.right, d)
-        if inner is None:
-            raise ValueError("labeled right edge into an empty subtree")
-        last = Unary(t.right_label, inner)
-    if left is None:
-        return last
-    return product(factors(left) + (last,))
+    # the spine's vertices still to read (bottom last) and the atoms read, and
+    # the spines that right edges interrupt, each with its edge's label
+    spine, parts = _left_spine(t), []
+    outer: list = []
+    while True:
+        while spine:
+            v = spine.pop()
+            label = v.right_label
+            if label is None:
+                parts.append(STAR)
+            elif not 1 <= label <= d:
+                raise ValueError(f"label {label} out of range [1, {d}]")
+            elif v.right is None:
+                raise ValueError("labeled right edge into an empty subtree")
+            else:
+                outer.append((spine, parts, label))
+                spine, parts = _left_spine(v.right), []
+        m = parts[0] if len(parts) == 1 else Product(tuple(parts))
+        if not outer:
+            return m
+        spine, parts, label = outer.pop()
+        parts.append(Unary(label, m))
 
 
 def right_chain_monotone(t: BinaryTree | None) -> bool:
     """True iff labels increase weakly along every right-edge chain whose
     intermediate vertices have no left child."""
-    if t is None:
-        return True
-    if t.right is not None:
-        v = t.right
-        if v.left is None and v.right_label is not None:
-            if t.right_label > v.right_label:
-                return False
-        if not right_chain_monotone(t.right):
-            return False
-    return right_chain_monotone(t.left)
+    todo = [t]  # subtrees still to check; each is walked down its left spine
+    while todo:
+        v = todo.pop()
+        while v is not None:
+            r = v.right
+            if r is not None:
+                if (r.left is None and r.right_label is not None
+                        and v.right_label > r.right_label):
+                    return False
+                todo.append(r)
+            v = v.left
+    return True
 
 
 def binary_tree_text(t: BinaryTree | None) -> str:
-    if t is None:
-        return "."
-    label = "-" if t.right_label is None else str(t.right_label)
-    return f"({binary_tree_text(t.left)} {label} {binary_tree_text(t.right)})"
+    """"." for the empty tree, "(left label right)" for a vertex, with "-" as
+    the label of a vertex without a right child."""
+    out: list[str] = []
+    todo: list = [t]  # subtrees still to render, and text to emit after them
+    while todo:
+        v = todo.pop()
+        if type(v) is str:
+            out.append(v)
+            continue
+        spine = _left_spine(v)
+        out.append("(" * len(spine) + ".")
+        for v in spine:  # the root's text goes last
+            if v.right is None:
+                todo.append(" - .)")
+            else:
+                todo += (")", v.right, f" {v.right_label} ")
+    return "".join(out)
 
 
 def all_binary_trees(n: int, d: int) -> list[BinaryTree | None]:

@@ -7,7 +7,8 @@ exceeded.
 
 Every call is a fresh process, so each subcommand imports the modules it
 calls itself, inside its function: ``count`` loads only ``counting`` and
-``monomial``, and only ``growth`` pays for ``mpmath``.
+``monomial``.  ``growth`` prints g and rho with only the decimals (up to six)
+that its certified enclosure fixes, and exits 2 when ``tol`` fixes none.
 """
 
 from __future__ import annotations
@@ -123,13 +124,33 @@ def cmd_series(args) -> int:
     return 0
 
 
+def _certified(lo, hi) -> str | None:
+    """The value of [lo, hi] with the most decimals, up to six, on which both
+    ends round alike; None if not even their integer parts agree."""
+    for k in range(6, -1, -1):
+        a, b = round(lo * 10 ** k), round(hi * 10 ** k)
+        if a == b:
+            return f"{a // 10 ** k}.{a % 10 ** k:0{k}d}" if k else str(a)
+    return None
+
+
 def cmd_growth(args) -> int:
+    from fractions import Fraction
+
     from . import asymptotics
 
     res = asymptotics.growth(Regime.from_code(args.regime), args.d, args.ell,
                              tol=args.tol, n=args.n)
     if res.method == "exact-root":
-        print(f"g = {float(res.g):.6f}  rho = {float(res.rho):.6f}")
+        # the true rho lies in [lo, hi], so g lies in [1/hi, 1/lo]
+        half = Fraction(res.tol) / 2
+        lo, hi = res.rho - half, res.rho + half
+        g = _certified(1 / hi, 1 / lo) if lo > 0 else None
+        rho = _certified(lo, hi)
+        if g is None or rho is None:
+            raise ValueError(f"tol {res.tol!r} is too coarse to certify a digit "
+                             "of both g and rho; pass a smaller tol")
+        print(f"g = {g}  rho = {rho}")
     else:
         print(f"g_hat = {float(res.g):.6f}  (n={res.estimate_n})")
     return 0

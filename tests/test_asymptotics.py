@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -127,3 +128,28 @@ def test_many_commuting_operators_root():
         resid = (1 - z * z) ** 200 + z ** 2 - 2 * z
     assert abs(resid) < 1e-11
     assert abs(float(res.g) - 10.7713720039) < 1e-9
+
+
+def test_free_enclosure_is_certified():
+    # ell=2: g* = 1 + sqrt(d) lies in [a, b] = [1/(rho + tol/2), 1/(rho - tol/2)];
+    # for a, b >= 1 that is (a - 1)^2 <= d <= (b - 1)^2, decided exactly
+    tol = 2.0 ** -150
+    for d in range(1, 9):
+        res = growth_free(d, 2, tol=tol)
+        assert isinstance(res.rho, Fraction) and res.g == 1 / res.rho
+        a, b = 1 / (res.rho + Fraction(tol) / 2), 1 / (res.rho - Fraction(tol) / 2)
+        assert 1 <= a < b
+        assert (a - 1) ** 2 <= d <= (b - 1) ** 2
+
+
+@pytest.mark.parametrize("d,ell", sorted(COMM_UNARY_VALUES))
+def test_comm_unary_matches_an_independent_root(d, ell):
+    # mpmath at 192 bits solves sqrt(w(rho)) + rho^(ell/2) = 1 with the
+    # secant method, started from the float value of the certified root
+    import mpmath
+
+    res = growth_comm_unary(d, ell, tol=2.0 ** -150)
+    with mpmath.workprec(192):
+        f = lambda z: mpmath.sqrt(1 - (1 - z * z) ** d) + mpmath.sqrt(z) ** ell - 1
+        root = mpmath.findroot(f, mpmath.mpf(float(res.rho)))
+        assert abs(mpmath.mpf(res.rho.numerator) / res.rho.denominator - root) < 1e-40

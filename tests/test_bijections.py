@@ -303,6 +303,50 @@ class TestBinaryTrees:
     def test_text_rendering(self):
         assert binary_tree_text(None) == "."
         assert binary_tree_text(BinaryTree()) == "(. - .)"
+        assert binary_tree_text(EX_TREE) == (
+            "(((. - .) 2 (. - .)) 2 (. 1 ((. - .) 1 (. - .))))")
+
+    @pytest.mark.parametrize("shape", ["chain", "nest", "wide"])
+    def test_deep_maps_within_default_recursion_limit(self, shape):
+        # chain: P1(P1(...P1(*)...)); nest: P1(*P1(*...P1(*)...)), products
+        # nested 3000 deep; wide: one product of 3000 factors P1(*)
+        leaf, n = BinaryTree(), 3000
+        if shape == "chain":
+            text = "P1(" * n + "*" + ")" * n
+            want = leaf
+            for _ in range(n):
+                want = BinaryTree(None, 1, want)
+            drawn = "(. 1 " * n + "(. - .)" + ")" * n
+        elif shape == "nest":
+            # P1(c_n) with c_1 = * and c_k = * P1(c_(k-1))
+            text = "P1(*" * n + ")" * n
+            want = leaf
+            for _ in range(n - 1):
+                want = BinaryTree(leaf, 1, want)
+            want = BinaryTree(None, 1, want)
+            drawn = "(. 1 " + "((. - .) 1 " * (n - 1) + "(. - .)" + ")" * n
+        else:
+            text = "P1(*)" * n
+            want = None
+            for _ in range(n):
+                want = BinaryTree(want, 1, leaf)
+            drawn = "(" * n + "." + " 1 (. - .))" * n
+        m = parse_monomial(text)
+        # the same shape with one decreasing chain P2(P1(*)) at the bottom
+        unsorted = parse_monomial(text.replace("P1(*)", "P2(P1(*))", 1))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            t = to_binary_tree(m)
+            assert t == want and from_binary_tree(t, 1) == m
+            assert 2 * count_vertices(t) == word_length(m, 2)
+            assert binary_tree_text(t) == drawn
+            assert right_chain_monotone(t)
+            assert not right_chain_monotone(to_binary_tree(unsorted))
+            with pytest.raises(ValueError, match=r"label 1 out of range \[1, 0\]"):
+                from_binary_tree(t, 0)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestDyck:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,23 @@ class TestGrowth:
         code, out, _ = run(capsys, "growth", "--regime", "cm", "--d", "2",
                            "--ell", "2", "--n", "50")
         assert out.startswith("g_hat = 2.03") and "(n=50)" in out
+
+    @pytest.mark.parametrize("tol", ["1e300", "0.5", "0.1", "1e-2", "1e-4", "1e-7", "1e-9"])
+    def test_prints_only_certified_digits(self, capsys, tol):
+        # free d=2 ell=2: g* = 1 + sqrt(2), rho* = sqrt(2) - 1; each printed
+        # value, at its printed decimals, is the rounding of the true one
+        code, out, err = run(capsys, "growth", "--regime", "free", "--d", "2",
+                             "--ell", "2", "--tol", tol)
+        if tol in ("1e300", "0.5", "0.1"):
+            assert code == 2 and out == "" and err.startswith("error: ") and "tol" in err
+            return
+        assert code == 0
+        g, rho = out.split()[2], out.split()[5]
+        sqrt2 = Fraction(math.isqrt(2 * 10 ** 80), 10 ** 40)
+        for text, true in ((g, 1 + sqrt2), (rho, sqrt2 - 1)):
+            places = len(text.partition(".")[2])
+            assert places <= 6
+            assert abs(Fraction(text) - true) < Fraction(1, 2 * 10 ** places)
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
     def test_tol_must_be_finite_and_positive(self, capsys, tol):
@@ -274,6 +292,7 @@ class TestFreshProcess:
     """The package as a user starts it: a new interpreter with src on the path."""
 
     SRC = str(Path(__file__).resolve().parent.parent / "src")
+    README = str(Path(__file__).resolve().parent.parent / "README.md")
 
     def python(self, *args):
         env = dict(os.environ)
@@ -302,6 +321,22 @@ class TestFreshProcess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "12", "0", "opmono opmono.cli opmono.counting opmono.monomial", ""]
+
+    def test_growth_and_readme_need_no_mpmath(self):
+        # with the mpmath import blocked, each regime prints what it printed
+        # when growth was computed with mpmath, and the README doctest passes
+        calls = [["free", "2", "2"], ["c", "3", "2"], ["m", "1", "2"], ["cm", "2", "2"]]
+        proc = self.python("-c", "import sys\nsys.modules['mpmath'] = None\n"
+                           "from opmono.cli import main\n"
+                           f"for r, d, ell in {calls!r}:\n"
+                           "    main(['growth', '--regime', r, '--d', d, '--ell', ell])\n"
+                           "import doctest\n"
+                           f"print(doctest.testfile({self.README!r}, module_relative=False))\n")
+        assert proc.returncode == 0, proc.stderr
+        *growth, summary = proc.stdout.splitlines()
+        assert growth == ["g = 2.414214  rho = 0.414214", "g = 2.606241  rho = 0.383694",
+                          "g_hat = 1.719351  (n=100)", "g_hat = 2.034342  (n=100)"]
+        assert summary.startswith("TestResults(failed=0, attempted=")
 
     def test_growth_still_prints_g(self):
         proc = self.python("-m", "opmono.cli", "growth", "--regime", "free",
