@@ -2,8 +2,8 @@
 
 Subcommands: count, sequence, table, enumerate, series, growth, paths,
 trees, verify, bfile.  Exit codes: 0 success, 1 verification mismatch,
-2 usage error (including an unreadable fixture file), 3 enumeration cap
-exceeded.
+2 usage error (including an unreadable fixture file), 3 a cap exceeded:
+the oracle's enumeration cap or the work limit of ``counting``.
 
 Every call is a fresh process, so each subcommand imports the modules it
 calls itself, inside its function: ``count`` loads only ``counting`` and
@@ -321,11 +321,12 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RuntimeError as e:
-        # the oracle is loaded whenever its cap error is raised; any other
-        # RuntimeError (a SelfCheckError) is a bug and keeps its traceback
-        from .oracle import EnumerationCapExceeded
+        # a cap (the work limit of counting, the oracle's enumeration cap) is
+        # a documented failure; any other RuntimeError (a SelfCheckError) is
+        # a bug and keeps its traceback
+        from .counting import WorkLimitExceeded
 
-        if not isinstance(e, EnumerationCapExceeded):
+        if not isinstance(e, WorkLimitExceeded):
             raise
         print(f"error: {e}", file=sys.stderr)
         return 3

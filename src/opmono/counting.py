@@ -5,10 +5,10 @@ The regimes come from two independent switches, each stated once:
 * the unary layer (``Regime.unary_commute``): one step wraps a subterm in a
   single label, or, when the operators commute, in a nonempty label set
   taken by inclusion-exclusion.  Its weight, w = d*z^2 or 1 - (1 - z^2)^d,
-  is written only in the section "The unary layer" below, in the three
-  forms its readers need: signed indicator vectors over the labels that s
-  uses (multigraded recurrences), a length form (length recurrences, the
-  series engine) and w(z) in product form (the growth roots);
+  is written only in the section "The unary layer" below, in the forms its
+  readers need: one label at a time (multigraded recurrences, with signed
+  indicator vectors as the reference), a length form (length recurrences,
+  the series engine) and w(z) in product form (the growth roots);
 * the product (``Regime.mult_commute``) picks only the step from atoms to
   monomials.  An atom is the indeterminate or a layer over a monomial,
   Bbar = x + w*B, stated once per grading; a sequence of atoms gives
@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, product as cartesian
-from operator import mul
+from itertools import accumulate, combinations, product as cartesian
+from operator import mul, sub
 
 from .monomial import Regime
 
@@ -97,24 +97,23 @@ def _sub(s, t) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # The unary layer.  ``commuting`` is Regime.unary_commute; the caches are
 # keyed by plain bools and ints, since hashing a Regime runs in Python.
-
-@lru_cache(maxsize=None)
-def _layer_within(commuting: bool,
-                  support: tuple[bool, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    # the (sign, e) pairs of one layer whose labels all lie in ``support``;
-    # a multiplicity vector reads them over its own nonzero labels only, so
-    # a sparse s at large d sees a small table
-    labels = [i for i, on in enumerate(support) if on]
-    sizes = range(1, len(labels) + 1) if commuting else (1,)
-    return tuple(((-1) ** (k + 1), tuple(int(i in t) for i in range(len(support))))
-                 for k in sizes for t in combinations(labels, k))
-
+#
+# The multigraded counts apply it one label at a time.  The layer over a at
+# s is the sum, over the labels k that s uses, of L_k(s - e_k): L_k = a for
+# noncommuting labels, and for commuting ones, since
+# w = 1 - prod_i (1 - u_i) = sum_k u_k prod_{i<k} (1 - u_i), L_k = D_k, the
+# backward difference of a over the labels before k.  D_0 = a and
+# D_{k+1}(s) = D_k(s) - t_k, where t_k = [s_k >= 1] D_k(s - e_k) is the very
+# term the layer reads, so a cell costs d terms and not 2^|support|.
 
 def layer_indicators(commuting: bool, d: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(sign, e) pairs of one layer in the multigraded grading: the d unit
     vectors with sign +1, or the indicator vectors of the nonempty label
-    subsets with sign (-1)^(|e|+1)."""
-    return _layer_within(commuting, (True,) * d)
+    subsets with sign (-1)^(|e|+1).  The reference statement of the layer
+    that :func:`count` applies one label at a time."""
+    sizes = range(1, d + 1) if commuting else (1,)
+    return tuple(((-1) ** (k + 1), tuple(int(i in t) for i in range(d)))
+                 for k in sizes for t in combinations(range(d), k))
 
 
 def layer_lengths(commuting: bool, d: int, n_max: int) -> dict[int, int]:
@@ -144,58 +143,101 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple(j for j in range(1, n + 1) if n % j == 0)
 
 
-@lru_cache(maxsize=None)
-def _atoms(commuting: bool, multiset: bool, r: int, s: tuple[int, ...]) -> int:
-    total = 1 if r == 1 and not any(s) else 0
-    for sign, e in _layer_within(commuting, tuple(map(bool, s))):
-        total += sign * _a(commuting, multiset, r, _sub(s, e))
-    return total
+# The most terms one fill may read (see _box_work); count raises
+# WorkLimitExceeded before any work above it.  Python 3.11 on two cores reads
+# about 3 million terms a second; dense cells take about 30*d bytes each.
+WORK_LIMIT = 10 ** 7
+
+
+class WorkLimitExceeded(RuntimeError):
+    """A request whose predicted work is above its cap: a documented
+    failure (the CLI exits 3), not a bug."""
+
+
+def _box_work(r: int, s: tuple[int, ...]) -> int:
+    # d layer terms in each of the r*prod(s_i + 1) cells of the box (r, s),
+    # and C(r, 2)*prod C(s_i + 2, 2) convolution terms
+    cells, terms = len(s) * r, r * (r - 1) // 2
+    for si in s:
+        cells *= si + 1
+        terms *= (si + 1) * (si + 2) // 2
+    return cells + terms
 
 
 @lru_cache(maxsize=None)
-def _c(commuting: bool, multiset: bool, r: int, s: tuple[int, ...]) -> int:
-    if not multiset:
-        return _atoms(commuting, False, r, s)
-    total = 0
-    for j in _divisors(math.gcd(r, *s)):
-        total += (r // j) * _atoms(commuting, True, r // j, tuple(si // j for si in s))
-    return total
+def _cells(commuting: bool, multiset: bool, d: int) -> list[tuple[dict, ...]]:
+    # one family's store, grown in place: entry r >= 1 holds dicts keyed by s
+    # of a, the atoms, c (the atoms themselves for a sequence) and, for
+    # commuting labels, (D_0, ..., D_{d-1}).  A cell enters a last, once
+    # every cell below it is stored, so a stored cell needs no more work.
+    return [()]
 
 
-@lru_cache(maxsize=None)
-def _a(commuting: bool, multiset: bool, r: int, s: tuple[int, ...]) -> int:
-    # r >= 1; the term j = r meets a_0 = [s = 0], so it is c(r, s) alone.
-    # The box of s read backwards lists s - alpha for each alpha in order.
-    total = _c(commuting, multiset, r, s)
-    box = list(_box(s))
+def _fill(levels: list, commuting: bool, multiset: bool, r: int, s: tuple[int, ...],
+          box: list) -> None:
+    a_r, atoms_r, c_r, diff_r = levels[r]
+    if commuting:
+        terms = [diff_r[s[:k] + (sk - 1,) + s[k + 1:]][k] if sk else 0
+                 for k, sk in enumerate(s)]
+    else:
+        terms = [a_r[s[:k] + (sk - 1,) + s[k + 1:]] if sk else 0
+                 for k, sk in enumerate(s)]
+    abar = (1 if r == 1 and not any(s) else 0) + sum(terms)
+    c = abar
+    if multiset:
+        c = r * abar + sum((r // j) * levels[r // j][1][tuple(si // j for si in s)]
+                           for j in _divisors(math.gcd(r, *s))[1:])
+    # the term j = r meets a_0 = [s = 0], so it is c alone; the box of s read
+    # backwards lists s - alpha for each alpha in order
+    total, rbox = c, box[::-1]
     for j in range(1, r):
-        for alpha, rest in zip(box, reversed(box)):
-            c = _c(commuting, multiset, j, alpha)
-            if c:
-                total += c * _a(commuting, multiset, r - j, rest)
-    if not multiset:
-        return total
-    q, rem = divmod(total, r)
-    if rem:
-        raise SelfCheckError(
-            f"multiset recurrence not divisible by r={r} at s={s} (d={len(s)})")
-    return q
+        total += sum(map(mul, map(levels[j][2].__getitem__, box),
+                         map(levels[r - j][0].__getitem__, rbox)))
+    if multiset:
+        total, rem = divmod(total, r)
+        if rem:
+            raise SelfCheckError(
+                f"multiset recurrence not divisible by r={r} at s={s} (d={len(s)})")
+        c_r[s] = c
+    atoms_r[s] = abar
+    if commuting:
+        diff_r[s] = tuple(accumulate(terms[:-1], sub, initial=total))
+    a_r[s] = total
+
+
+def _count(commuting: bool, multiset: bool, r: int, s: tuple[int, ...]) -> int:
+    # a stored cell is read at once; otherwise the missing cells of the box
+    # (r, s) are filled in order, s' in box order and r' ascending
+    levels = _cells(commuting, multiset, len(s))
+    if r < len(levels) and s in levels[r][0]:
+        return levels[r][0][s]
+    work = _box_work(r, s)
+    if work > WORK_LIMIT:
+        raise WorkLimitExceeded(f"count at r={r}, s={s} would read {work} terms, "
+                                f"above the cap {WORK_LIMIT}")
+    while len(levels) <= r:
+        atoms = {}
+        levels.append(({}, atoms, {} if multiset else atoms, {}))
+    for s2 in _box(s):
+        if s2 not in levels[r][0]:
+            box = list(_box(s2)) if r > 1 else []  # degree 1 convolves nothing
+            for r2 in range(1, r + 1):
+                if s2 not in levels[r2][0]:
+                    _fill(levels, commuting, multiset, r2, s2, box)
+    return levels[r][0][s]
 
 
 def count(regime: Regime, d: int, r: int, s) -> int:
     """Monomials of degree r and multiplicity s.  The free regime answers by
-    its closed form; every other regime fills the box (r, s) in order with
-    the atom recurrence of its two switches, so each step finds its terms
-    cached and the recursion stays shallow at any size."""
+    its closed form; every other regime reads the cell store of its family,
+    filling the missing cells of the box (r, s) in order, so no call
+    recurses.  A fill that would read more than ``WORK_LIMIT`` terms raises
+    :class:`WorkLimitExceeded` before any work."""
     s = _check_args(d, r, s)
     if regime is Regime.FREE:
         k = sum(s)
         return multinomial(s) * narayana(r + k, k)
-    commuting, multiset = regime.unary_commute, regime.mult_commute
-    for r2 in range(1, r + 1):
-        for s2 in _box(s):
-            _a(commuting, multiset, r2, s2)
-    return _a(commuting, multiset, r, s)
+    return _count(regime.unary_commute, regime.mult_commute, r, s)
 
 
 def count_free(d: int, r: int, s) -> int:

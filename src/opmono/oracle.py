@@ -41,7 +41,7 @@ from .counting import _box, _sub
 from .monomial import STAR, Monomial, Product, Regime, Unary, canonical_key, factors
 
 
-class EnumerationCapExceeded(RuntimeError):
+class EnumerationCapExceeded(counting.WorkLimitExceeded):
     def __init__(self, predicted: int, cap: int):
         super().__init__(
             f"enumeration would produce {predicted} monomials, above the cap {cap}")

@@ -37,6 +37,11 @@ class TestCount:
                            "--r", "2", "--s", "2,1", "--oracle")
         assert code == 0 and out == "18\n"
 
+    def test_work_limit_exit_code(self, capsys):
+        code, out, err = run(capsys, "count", "--regime", "c", "--d", "2",
+                             "--r", "1", "--s", "100000,100000")
+        assert code == 3 and out == "" and err.startswith("error: ") and "cap" in err
+
     def test_oracle_multiset_cell(self, capsys):
         code, out, err = run(capsys, "count", "--oracle", "--regime", "m", "--d", "2",
                              "--r", "5", "--s", "2,2")
@@ -321,6 +326,18 @@ class TestFreshProcess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "12", "0", "opmono opmono.cli opmono.counting opmono.monomial", ""]
+
+    def test_count_over_the_work_limit_exits_3_at_once(self):
+        # the cap is predicted before any work and mapped to exit 3 without
+        # loading the oracle or json
+        argv = ["count", "--regime", "c", "--d", "2", "--r", "1", "--s", "100000,100000"]
+        proc = self.python("-c", "import time\nfrom opmono.cli import main\n"
+                           f"t = time.perf_counter()\nrc = main({argv!r})\n"
+                           "print(rc, time.perf_counter() - t < 1.0)\n" + self.SHOW_MODULES)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "3 True", "opmono opmono.cli opmono.counting opmono.monomial", ""]
+        assert proc.stderr.startswith("error: count at r=1")
 
     def test_growth_and_readme_need_no_mpmath(self):
         # with the mpmath import blocked, each regime prints what it printed

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import pickle
 import random
 import sys
@@ -331,12 +332,10 @@ class TestUnaryLayer:
         # multigraded route to multinomial * narayana
         for d in (1, 2, 3):
             for r, s in multidegrees(d, 10):
-                assert counting._a(False, False, r, s) == count_free(d, r, s)
+                assert counting._count(False, False, r, s) == count_free(d, r, s)
 
     def test_comm_unary_deep_cells_within_default_recursion_limit(self):
-        counting._atoms.cache_clear()
-        counting._c.cache_clear()
-        counting._a.cache_clear()
+        counting._cells.cache_clear()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
@@ -346,9 +345,7 @@ class TestUnaryLayer:
             sys.setrecursionlimit(limit)
 
     def test_multiset_deep_cells_within_default_recursion_limit(self):
-        counting._atoms.cache_clear()
-        counting._c.cache_clear()
-        counting._a.cache_clear()
+        counting._cells.cache_clear()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
@@ -360,9 +357,7 @@ class TestUnaryLayer:
     def test_layer_read_over_the_labels_s_uses(self):
         # labels that s leaves at zero cannot contribute, so a sparse s at
         # many labels costs what it costs over its own support
-        counting._atoms.cache_clear()
-        counting._c.cache_clear()
-        counting._a.cache_clear()
+        counting._cells.cache_clear()
         e1 = (1,) + (0,) * 39
         assert count_comm_unary(40, 2, e1) == count_comm_unary(1, 2, (1,)) == 3
         assert count_comm_both(40, 2, e1) == count_comm_both(1, 2, (1,)) == 2
@@ -375,6 +370,97 @@ class TestUnaryLayer:
         s = tuple(data.draw(st.integers(0, 3)) for _ in range(d))
         for regime in Regime:
             assert count(regime, d + extra, r, s + (0,) * extra) == count(regime, d, r, s)
+
+
+# SHA-256 of count over the grid of test_count_output_is_pinned, as computed
+# by the engine that read every layer subset through tuple-keyed caches
+COUNT_SHA256 = "dc3c5e82c8fc3dc3b34750f3a4b6e81cb5bbfcbd6aab8589fa32881b7670f1e9"
+
+
+class TestCellStore:
+    """One store of cells per family, shared across s, with the layer applied
+    one label at a time."""
+
+    def test_count_output_is_pinned(self):
+        counting._cells.cache_clear()
+        h = hashlib.sha256()
+        for code in ("free", "c", "m", "cm"):
+            for d, top in ((1, 9), (2, 8), (3, 7)):
+                for r, s in multidegrees(d, top):
+                    v = count(Regime.from_code(code), d, r, s)
+                    h.update(f"{code} d={d} r={r} s={','.join(map(str, s))}: {v}\n".encode())
+        assert h.hexdigest() == COUNT_SHA256
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans(), st.booleans(), st.integers(1, 4), st.integers(1, 8), st.data())
+    def test_atoms_match_the_inclusion_exclusion_layer(self, commuting, multiset, d, r,
+                                                       data):
+        # the reference: abar(r, s) = [r = 1, s = 0] + sum of sign * a(r, s - e)
+        # over the signed indicator vectors e <= s of layer_indicators
+        s, budget = [], 8 - r
+        for _ in range(d):
+            s.append(data.draw(st.integers(0, budget)))
+            budget -= s[-1]
+        s = tuple(s)
+        want = 1 if r == 1 and not any(s) else 0
+        for sign, e in counting.layer_indicators(commuting, d):
+            if all(ei <= si for ei, si in zip(e, s)):
+                below = tuple(si - ei for si, ei in zip(s, e))
+                want += sign * counting._count(commuting, multiset, r, below)
+        counting._count(commuting, multiset, r, s)
+        assert counting._cells(commuting, multiset, d)[r][1][s] == want  # the atoms
+
+    @pytest.mark.parametrize("regime", [Regime.COMM_UNARY, Regime.COMM_BOTH],
+                             ids=["c", "cm"])
+    def test_dense_support_costs_linear_in_d_per_cell(self, regime):
+        # 2^12 cells at s = (1, ..., 1): one term per label takes about
+        # 50 ms on two cores, where reading every label subset in every cell
+        # took about 3 s
+        counting._cells.cache_clear()
+        start = time.perf_counter()
+        assert count(regime, 12, 1, (1,) * 12) == 1
+        assert time.perf_counter() - start < 1.0
+        assert count(regime, 16, 1, (1,) * 16) == 1
+
+    def test_cells_are_shared_across_s(self, monkeypatch):
+        cells = ((4, (3, 2)), (2, (3, 0)), (4, (1, 2)), (1, (0, 0)))
+        cold = []
+        for r, s in cells:
+            counting._cells.cache_clear()
+            cold.append(count(Regime.COMM_MULT, 2, r, s))
+        counting._cells.cache_clear()
+        count(Regime.COMM_MULT, 2, 4, (3, 2))
+        # every cell of that box is now stored, so none of these does work
+        monkeypatch.setattr(counting, "WORK_LIMIT", 0)
+        assert [count(Regime.COMM_MULT, 2, r, s) for r, s in cells] == cold
+        assert counting._cells.cache_info().currsize == 1
+        with pytest.raises(counting.WorkLimitExceeded):
+            count(Regime.COMM_MULT, 2, 5, (3, 2))
+
+    def test_work_limit_is_exact_and_checked_before_work(self, monkeypatch):
+        r, s = 5, (2, 3)
+        counting._cells.cache_clear()
+        monkeypatch.setattr(counting, "WORK_LIMIT", counting._box_work(r, s) - 1)
+        with pytest.raises(counting.WorkLimitExceeded, match="above the cap"):
+            count(Regime.COMM_UNARY, 2, r, s)
+        assert counting._cells(True, False, 2) == [()]  # nothing was stored
+        # a cold fill at the limit reads d layer terms per cell and exactly
+        # the predicted convolution products
+        fills, products = [], []
+        fill = counting._fill
+        monkeypatch.setattr(counting, "_fill", lambda *args: fills.append(1) or fill(*args))
+        monkeypatch.setattr(counting, "mul", lambda x, y: products.append(1) or x * y)
+        monkeypatch.setattr(counting, "WORK_LIMIT", counting._box_work(r, s))
+        assert count(Regime.COMM_UNARY, 2, r, s) == 33222  # the oracle's count
+        assert 2 * len(fills) + len(products) == counting._box_work(r, s)
+
+    def test_huge_box_is_refused_at_once_and_free_is_not_guarded(self):
+        start = time.perf_counter()
+        for regime in (Regime.COMM_UNARY, Regime.COMM_MULT, Regime.COMM_BOTH):
+            with pytest.raises(counting.WorkLimitExceeded):
+                count(regime, 2, 1, (100000, 100000))
+        assert time.perf_counter() - start < 1.0
+        assert count(Regime.FREE, 2, 1, (5000, 5000)) == math.comb(10000, 5000)
 
 
 class TestTablePrefix:
