@@ -2,6 +2,11 @@
 ordered trees, peakless lattice paths with labeled up-steps, binary trees
 with labeled right edges, and (one operator only) restricted Dyck paths.
 
+Every model re-encodes the bracketed word of :func:`encode_word`.  A map onto
+a model is one pass over that word; a map back writes the word's tokens and
+leaves building and checking the monomial to :func:`decode_word`.  The
+ordered-tree inverse is the one exception: it builds the monomial itself.
+
 Model-side brute-force generators are provided as well, so that counting
 checks can be run from the model side without going through the monomial
 enumerator.
@@ -15,7 +20,6 @@ from .monomial import (
     STAR,
     Monomial,
     Product,
-    Star,
     Unary,
     decode_word,
     encode_word,
@@ -58,35 +62,26 @@ class OrderedTree(_ByPreorder):
         return tuple(out)
 
 
+def _ordered_product(parts: list[OrderedTree]) -> OrderedTree:
+    return parts[0] if len(parts) == 1 else OrderedTree(None, tuple(parts))
+
+
 def to_ordered_tree(m: Monomial) -> OrderedTree:
     leaf = OrderedTree(None, ())
-    done: list[OrderedTree] = []  # finished subtrees, in order
-    # subterms to visit, and frames to finish after their subterms: a label
-    # list (outside in) for a maximal unary chain, a factor count for a product
-    todo: list = [m]
-    while todo:
-        v = todo.pop()
-        if type(v) is Star:
-            done.append(leaf)
-        elif type(v) is Unary:
-            labels = []
-            while type(v) is Unary:
-                labels.append(v.label)
-                v = v.child
-            todo += (labels, v)
-        elif type(v) is Product:
-            todo.append(len(v.factors))
-            todo.extend(reversed(v.factors))
-        elif type(v) is int:
-            children = tuple(done[-v:])
-            del done[-v:]
-            done.append(OrderedTree(None, children))
+    # the subtrees inside the innermost open delimiter, and the lists it interrupts
+    parts: list[OrderedTree] = []
+    outer: list[list[OrderedTree]] = []
+    for x in encode_word(m):
+        if x == 0:
+            parts.append(leaf)
+        elif x > 0:
+            outer.append(parts)
+            parts = []
         else:
-            node = done.pop()
-            for label in reversed(v):
-                node = OrderedTree(label, (node,))
-            done.append(node)
-    return done[0]
+            inner = _ordered_product(parts)
+            parts = outer.pop()
+            parts.append(OrderedTree(-x, (inner,)))
+    return _ordered_product(parts)
 
 
 def from_ordered_tree(t: OrderedTree) -> Monomial:
@@ -136,15 +131,7 @@ class LatticePath:
         return sum(s[1] if s[0] == "H" else 1 for s in self.steps)
 
     def to_text(self) -> str:
-        bits = []
-        for s in self.steps:
-            if s[0] == "U":
-                bits.append(f"U{s[1]}")
-            elif s[0] == "D":
-                bits.append("D")
-            else:
-                bits.append("H")
-        return " ".join(bits)
+        return " ".join(f"U{s[1]}" if s[0] == "U" else s[0] for s in self.steps)
 
 
 def path_from_text(text: str, ell: int) -> LatticePath:
@@ -161,25 +148,24 @@ def path_from_text(text: str, ell: int) -> LatticePath:
     return LatticePath(tuple(steps))
 
 
-def validate_path(p: LatticePath) -> None:
-    """Raise ValueError unless p stays nonnegative, ends at height 0, is
-    peakless, and uses one fixed horizontal span."""
-    height = 0
-    prev_up = False
+def _path_word(p: LatticePath) -> list[int]:
+    """The bracketed word of p, read in one pass that checks p as
+    :func:`validate_path` says."""
+    tokens: list[int] = []
+    ups: list[int] = []  # labels of the up-steps not yet matched
     span = None
     for s in p.steps:
         if s[0] == "U":
             if s[1] < 1:
                 raise ValueError("up-step labels must be >= 1")
-            height += 1
-            prev_up = True
+            ups.append(s[1])
+            tokens.append(s[1])
         elif s[0] == "D":
-            if prev_up:
+            if tokens and tokens[-1] > 0:
                 raise ValueError("peak: up-step immediately followed by down-step")
-            height -= 1
-            if height < 0:
+            if not ups:
                 raise ValueError("path dips below the axis")
-            prev_up = False
+            tokens.append(-ups.pop())
         else:
             if s[1] < 1:
                 raise ValueError("horizontal span must be >= 1")
@@ -187,12 +173,25 @@ def validate_path(p: LatticePath) -> None:
                 span = s[1]
             elif span != s[1]:
                 raise ValueError("mixed horizontal spans in one path")
-            prev_up = False
-    if height != 0:
+            tokens.append(0)
+    if ups:
         raise ValueError("path does not end on the axis")
+    return tokens
+
+
+def validate_path(p: LatticePath) -> None:
+    """Raise ValueError unless p stays nonnegative, ends at height 0, is
+    peakless, and uses one fixed horizontal span."""
+    _path_word(p)
+
+
+def _check_ell(ell: int) -> None:
+    if ell < 1:
+        raise ValueError(f"need ell >= 1, got {ell}")
 
 
 def to_path(m: Monomial, ell: int) -> LatticePath:
+    _check_ell(ell)
     steps = []
     for t in encode_word(m):
         if t == 0:
@@ -205,29 +204,7 @@ def to_path(m: Monomial, ell: int) -> LatticePath:
 
 
 def from_path(p: LatticePath, d: int) -> Monomial:
-    validate_path(p)
-    tokens = []
-    stack: list[int] = []
-    for s in p.steps:
-        if s[0] == "U":
-            stack.append(s[1])
-            tokens.append(s[1])
-        elif s[0] == "D":
-            tokens.append(-stack.pop())
-        else:
-            tokens.append(0)
-    return decode_word(tokens, d)
-
-
-def _matching_downs(steps) -> dict[int, int]:
-    match = {}
-    stack: list[int] = []
-    for idx, s in enumerate(steps):
-        if s[0] == "U":
-            stack.append(idx)
-        elif s[0] == "D":
-            match[stack.pop()] = idx
-    return match
+    return decode_word(_path_word(p), d)
 
 
 def matched_ascent_monotone(p: LatticePath) -> bool:
@@ -240,23 +217,18 @@ def matched_ascent_monotone(p: LatticePath) -> bool:
     (in reverse order).  Matched ascents are precisely the images of
     maximal unary chains."""
     steps = p.steps
-    match = _matching_downs(steps)
-    i = 0
-    while i < len(steps):
-        if steps[i][0] != "U":
-            i += 1
-            continue
-        j = i
-        while j < len(steps) and steps[j][0] == "U":
-            j += 1
-        start = i
-        for u in range(i, j):
-            if u == j - 1 or match[u] != match[u + 1] + 1:
-                labels = [steps[x][1] for x in range(start, u + 1)]
-                if any(a > b for a, b in zip(labels, labels[1:])):
-                    return False
-                start = u + 1
-        i = j
+    ups: list[int] = []  # positions of the up-steps not yet matched
+    closed = -1  # the up-step that the previous step matched, if it was a down-step
+    for i, s in enumerate(steps):
+        if s[0] == "D":
+            u = ups.pop()
+            if closed == u + 1 and steps[u][1] > steps[closed][1]:
+                return False
+            closed = u
+        else:
+            if s[0] == "U":
+                ups.append(i)
+            closed = -1
     return True
 
 
@@ -353,42 +325,28 @@ def to_binary_tree(m: Monomial | None) -> BinaryTree | None:
     return tree
 
 
-def _left_spine(t: BinaryTree | None) -> list[BinaryTree]:
-    """The vertices on t's left spine, from the root down."""
-    out = []
-    while t is not None:
-        out.append(t)
-        t = t.left
-    return out
-
-
 def from_binary_tree(t: BinaryTree | None, d: int) -> Monomial | None:
     """Inverse of :func:`to_binary_tree`; raises ValueError on a right-edge
     label outside [1, d]."""
     if t is None:
         return None
-    # the spine's vertices still to read (bottom last) and the atoms read, and
-    # the spines that right edges interrupt, each with its edge's label
-    spine, parts = _left_spine(t), []
-    outer: list = []
-    while True:
-        while spine:
-            v = spine.pop()
+    tokens: list[int] = []
+    todo: list = [t]  # subtrees still to write, each down its left spine, and tokens
+    while todo:
+        v = todo.pop()
+        if type(v) is int:
+            tokens.append(v)
+            continue
+        while v is not None:  # the root's atom is written last, so pushed first
             label = v.right_label
             if label is None:
-                parts.append(STAR)
-            elif not 1 <= label <= d:
+                todo.append(0)
+            elif label < 1:  # would read as the indeterminate or a closing delimiter
                 raise ValueError(f"label {label} out of range [1, {d}]")
-            elif v.right is None:
-                raise ValueError("labeled right edge into an empty subtree")
             else:
-                outer.append((spine, parts, label))
-                spine, parts = _left_spine(v.right), []
-        m = parts[0] if len(parts) == 1 else Product(tuple(parts))
-        if not outer:
-            return m
-        spine, parts, label = outer.pop()
-        parts.append(Unary(label, m))
+                todo += (-label, v.right, label)
+            v = v.left
+    return decode_word(tokens, d)
 
 
 def right_chain_monotone(t: BinaryTree | None) -> bool:
@@ -417,14 +375,12 @@ def binary_tree_text(t: BinaryTree | None) -> str:
         v = todo.pop()
         if type(v) is str:
             out.append(v)
-            continue
-        spine = _left_spine(v)
-        out.append("(" * len(spine) + ".")
-        for v in spine:  # the root's text goes last
-            if v.right is None:
-                todo.append(" - .)")
-            else:
-                todo += (")", v.right, f" {v.right_label} ")
+        elif v is None:
+            out.append(".")
+        else:
+            out.append("(")
+            label = "-" if v.right is None else v.right_label
+            todo += (")", v.right, f" {label} ", v.left)
     return "".join(out)
 
 
@@ -455,6 +411,7 @@ def all_binary_trees(n: int, d: int) -> list[BinaryTree | None]:
 # is then forced run by run.
 
 def dyck_transform(m: Monomial, ell: int) -> tuple[int, ...]:
+    _check_ell(ell)
     out: list[int] = []
     for t in encode_word(m):
         if t == 0:
@@ -479,11 +436,13 @@ def _runs(path):
 
 
 def dyck_run_lengths_ok(path, ell: int) -> bool:
+    _check_ell(ell)
     return all(length % ell == 1 % ell for _, length in _runs(path))
 
 
 def dyck_inverse(path, ell: int) -> Monomial:
     """Invert :func:`dyck_transform` by the unique block decomposition."""
+    _check_ell(ell)
     tokens: list[int] = []
     for step, length in _runs(path):
         if length % ell != 1 % ell:

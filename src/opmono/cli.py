@@ -315,6 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # counts are exact, so print every digit (the limit exists from 3.10.7)
+    lift_digit_limit = getattr(sys, "set_int_max_str_digits", None)
+    if lift_digit_limit:
+        lift_digit_limit(0)
     try:
         return args.func(args)
     except (ValueError, OSError) as e:

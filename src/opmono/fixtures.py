@@ -59,18 +59,24 @@ def parse_fixtures(text: str) -> list[FixtureEntry]:
         terms = tuple(int(x) for x in tail.replace(",", " ").split())
         if not terms:
             raise ValueError(f"fixture line {lineno}: no terms")
-        d = int(kv.pop("d"))
+
+        def take(key: str) -> str:
+            if key not in kv:
+                raise ValueError(f"fixture line {lineno}: missing key {key!r}")
+            return kv.pop(key)
+
+        d = int(take("d"))
         if kind == "seq":
             entry = FixtureEntry("seq", seq_id, regime, d, terms,
-                                 ell=int(kv.pop("ell")), offset=int(kv.pop("offset")))
+                                 ell=int(take("ell")), offset=int(take("offset")))
         elif kind == "arow":
             if d != 1:
                 raise ValueError(f"fixture line {lineno}: arow rows require d=1")
-            entry = FixtureEntry("arow", seq_id, regime, d, terms, r=int(kv.pop("r")))
+            entry = FixtureEntry("arow", seq_id, regime, d, terms, r=int(take("r")))
         elif kind == "count":
-            s = tuple(int(x) for x in kv.pop("s").split(","))
+            s = tuple(int(x) for x in take("s").split(","))
             entry = FixtureEntry("count", seq_id, regime, d, terms,
-                                 r=int(kv.pop("r")), s=s)
+                                 r=int(take("r")), s=s)
         else:
             raise ValueError(f"fixture line {lineno}: unknown kind {kind!r}")
         if kv:

@@ -173,6 +173,24 @@ class TestPaths:
         with pytest.raises(ValueError, match="axis"):
             validate_path(path_from_text("U1 H", 1))
 
+    @pytest.mark.parametrize("steps,message", [
+        ((("U", 0), ("H", 1), ("D",)), "up-step labels must be >= 1"),
+        ((("H", 0),), "horizontal span must be >= 1"),
+        ((("H", 1), ("H", 2)), "mixed horizontal spans in one path"),
+    ])
+    def test_invalid_steps_rejected(self, steps, message):
+        for check in (validate_path, lambda p: from_path(p, 2)):
+            with pytest.raises(ValueError, match=message):
+                check(LatticePath(steps))
+
+    def test_bad_step_text_rejected(self):
+        with pytest.raises(ValueError, match="bad path step 'X'"):
+            path_from_text("U1 H X D", 1)
+
+    def test_ell_below_one_rejected(self):
+        with pytest.raises(ValueError, match="ell >= 1"):
+            to_path(STAR, 0)
+
     def test_matched_ascent_examples(self):
         # all three matching down-steps form one descent, so the whole
         # ascent is matched and its labels 1,2,1 are constrained
@@ -387,6 +405,15 @@ class TestDyck:
                 n = half + ell - 1
                 want = length_sequence(Regime.FREE, 1, 2 * ell, 2 * n).value(2 * n)
                 assert qual == want
+
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_ell_below_one_rejected(self, ell):
+        calls = [lambda: dyck_transform(STAR, ell),
+                 lambda: dyck_run_lengths_ok((1, -1), ell),
+                 lambda: dyck_inverse((1, -1), ell)]
+        for call in calls:
+            with pytest.raises(ValueError, match="ell >= 1"):
+                call()
 
     def test_bad_run_length_rejected(self):
         with pytest.raises(ValueError):

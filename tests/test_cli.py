@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -107,6 +108,14 @@ class TestSeries:
                            "--ell", "2", "--order", "6", "--method", "newton")
         assert code == 2 and "free regime" in err
 
+    @pytest.mark.parametrize("regime,method", [("free", "newton"), ("m", "euler"),
+                                               ("cm", "euler")])
+    def test_method_prints_what_auto_prints(self, capsys, regime, method):
+        argv = ["series", "--regime", regime, "--d", "2", "--ell", "2", "--order", "12"]
+        code, auto, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--method", method) == (0, auto, "")
+
     def test_order_below_ell(self, capsys):
         for regime in ("free", "c", "m", "cm"):
             code, out, err = run(capsys, "series", "--regime", regime, "--d", "1",
@@ -186,6 +195,13 @@ class TestVerifyAndBfile:
         code, out, _ = run(capsys, "verify", str(f))
         assert code == 1
         assert "MISMATCH" in out and "index 4" in out
+
+    def test_fixture_line_missing_a_key_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "short.txt"
+        f.write_text("seq A free ell=1 offset=1: 1\n")
+        code, out, err = run(capsys, "verify", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: fixture line 1: missing key 'd'\n"
 
     def test_bfile(self, capsys):
         code, out, _ = run(capsys, "bfile", "--regime", "free", "--d", "2",
@@ -283,6 +299,30 @@ class TestFixtureParsing:
         with pytest.raises(ValueError):
             fixtures.parse_fixtures("arow X m d=2 r=2: 1,2")
 
+    @pytest.mark.parametrize("line,message", [
+        ("seq X: 1", "too few fields"),
+        ("seq X free d=1 ell=1 offset: 1", "expected key=value, got 'offset'"),
+        ("seq X free d=1 ell=1 offset=1: ,", "no terms"),
+        ("count X c d=1 r=2 s=1 ell=2: 3", "unexpected keys ['ell']"),
+    ])
+    def test_more_parse_errors(self, line, message):
+        with pytest.raises(ValueError, match=re.escape(f"fixture line 1: {message}")):
+            fixtures.parse_fixtures(line)
+
+    @pytest.mark.parametrize("line,key", [
+        ("seq A free ell=1 offset=1: 1", "d"),
+        ("seq A free d=1 offset=1: 1", "ell"),
+        ("seq A free d=1 ell=1: 1", "offset"),
+        ("arow A free r=1: 1", "d"),
+        ("arow A free d=1: 1", "r"),
+        ("count A free r=1 s=1: 1", "d"),
+        ("count A free d=1 s=1: 1", "r"),
+        ("count A free d=1 r=1: 1", "s"),
+    ])
+    def test_missing_key(self, line, key):
+        with pytest.raises(ValueError, match=re.escape(f"fixture line 1: missing key {key!r}")):
+            fixtures.parse_fixtures(line)
+
     def test_offset_zero_entry(self):
         (e,) = fixtures.parse_fixtures(
             "seq A000108 free d=1 ell=2 offset=0: 1,1,2,5,14")
@@ -338,6 +378,17 @@ class TestFreshProcess:
         assert proc.stdout.splitlines() == [
             "3 True", "opmono opmono.cli opmono.counting opmono.monomial", ""]
         assert proc.stderr.startswith("error: count at r=1")
+
+    def test_count_of_more_than_4300_digits_prints(self):
+        argv = ["count", "--regime", "free", "--d", "2", "--r", "1", "--s", "8000,8000"]
+        proc = self.python("-c", "import contextlib, io\n"
+                           "from opmono import Regime, counting\nfrom opmono.cli import main\n"
+                           "out = io.StringIO()\nwith contextlib.redirect_stdout(out):\n"
+                           f"    rc = main({argv!r})\n"
+                           "want = str(counting.count(Regime.FREE, 2, 1, (8000, 8000)))\n"
+                           "print(rc, len(want) > 4300, out.getvalue() == want + '\\n')\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 True True\n"
 
     def test_growth_and_readme_need_no_mpmath(self):
         # with the mpmath import blocked, each regime prints what it printed
