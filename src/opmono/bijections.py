@@ -215,21 +215,27 @@ def matched_ascent_monotone(p: LatticePath) -> bool:
     matching down-steps to be consecutive, so two adjacent up-steps belong
     to the same matched ascent exactly when their matches are adjacent
     (in reverse order).  Matched ascents are precisely the images of
-    maximal unary chains."""
+    maximal unary chains.  Raises ValueError for a path that dips below the
+    axis or does not end on it."""
     steps = p.steps
     ups: list[int] = []  # positions of the up-steps not yet matched
     closed = -1  # the up-step that the previous step matched, if it was a down-step
+    monotone = True
     for i, s in enumerate(steps):
         if s[0] == "D":
+            if not ups:
+                raise ValueError("path dips below the axis")
             u = ups.pop()
             if closed == u + 1 and steps[u][1] > steps[closed][1]:
-                return False
+                monotone = False
             closed = u
         else:
             if s[0] == "U":
                 ups.append(i)
             closed = -1
-    return True
+    if ups:
+        raise ValueError("path does not end on the axis")
+    return monotone
 
 
 def all_lattice_paths(d: int, ell: int, span: int) -> list[LatticePath]:

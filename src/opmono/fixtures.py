@@ -37,52 +37,68 @@ class FixtureEntry:
 
 
 def parse_fixtures(text: str) -> list[FixtureEntry]:
+    """The entries of a fixture text; a malformed line raises ValueError
+    naming it (``fixture line N: ...``)."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, sep, tail = line.partition(":")
-        if not sep:
-            raise ValueError(f"fixture line {lineno}: missing ':'")
-        fields = head.split()
-        if len(fields) < 3:
-            raise ValueError(f"fixture line {lineno}: too few fields")
-        kind, seq_id, regime_code = fields[0], fields[1], fields[2]
-        regime = Regime.from_code(regime_code)
-        kv = {}
-        for tok in fields[3:]:
-            key, eq, val = tok.partition("=")
-            if not eq:
-                raise ValueError(f"fixture line {lineno}: expected key=value, got {tok!r}")
-            kv[key] = val
-        terms = tuple(int(x) for x in tail.replace(",", " ").split())
-        if not terms:
-            raise ValueError(f"fixture line {lineno}: no terms")
-
-        def take(key: str) -> str:
-            if key not in kv:
-                raise ValueError(f"fixture line {lineno}: missing key {key!r}")
-            return kv.pop(key)
-
-        d = int(take("d"))
-        if kind == "seq":
-            entry = FixtureEntry("seq", seq_id, regime, d, terms,
-                                 ell=int(take("ell")), offset=int(take("offset")))
-        elif kind == "arow":
-            if d != 1:
-                raise ValueError(f"fixture line {lineno}: arow rows require d=1")
-            entry = FixtureEntry("arow", seq_id, regime, d, terms, r=int(take("r")))
-        elif kind == "count":
-            s = tuple(int(x) for x in take("s").split(","))
-            entry = FixtureEntry("count", seq_id, regime, d, terms,
-                                 r=int(take("r")), s=s)
-        else:
-            raise ValueError(f"fixture line {lineno}: unknown kind {kind!r}")
-        if kv:
-            raise ValueError(f"fixture line {lineno}: unexpected keys {sorted(kv)}")
-        entries.append(entry)
+        if line and not line.startswith("#"):
+            try:
+                entries.append(_parse_line(line))
+            except ValueError as e:
+                raise ValueError(f"fixture line {lineno}: {e}") from None
     return entries
+
+
+def _int(what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} is not an integer: {text!r}") from None
+
+
+def _parse_line(line: str) -> FixtureEntry:
+    head, sep, tail = line.partition(":")
+    if not sep:
+        raise ValueError("missing ':'")
+    fields = head.split()
+    if len(fields) < 3:
+        raise ValueError("too few fields")
+    kind, seq_id, regime = fields[0], fields[1], Regime.from_code(fields[2])
+    kv = {}
+    for tok in fields[3:]:
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise ValueError(f"expected key=value, got {tok!r}")
+        kv[key] = val
+    terms = tuple(_int("term", x) for x in tail.replace(",", " ").split())
+    if not terms:
+        raise ValueError("no terms")
+
+    def take(key: str) -> str:
+        if key not in kv:
+            raise ValueError(f"missing key {key!r}")
+        return kv.pop(key)
+
+    def number(key: str) -> int:
+        return _int(key, take(key))
+
+    d = number("d")
+    if kind == "seq":
+        entry = FixtureEntry("seq", seq_id, regime, d, terms,
+                             ell=number("ell"), offset=number("offset"))
+    elif kind == "arow":
+        if d != 1:
+            raise ValueError("arow rows require d=1")
+        entry = FixtureEntry("arow", seq_id, regime, d, terms, r=number("r"))
+    elif kind == "count":
+        s = tuple(_int("s", x) for x in take("s").split(","))
+        entry = FixtureEntry("count", seq_id, regime, d, terms, r=number("r"), s=s)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    if kv:
+        raise ValueError(f"unexpected keys {sorted(kv)}")
+    return entry
 
 
 def load_fixture_file(path: str) -> list[FixtureEntry]:

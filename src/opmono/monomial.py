@@ -277,8 +277,8 @@ def decode_word(tokens, d: int) -> Monomial:
             raise ValueError("unbalanced delimiters")
         elif not parts:
             raise ValueError("empty delimiter interior")
-        else:
-            inner = product(parts)
+        else:  # parts holds atoms only
+            inner = parts[0] if len(parts) == 1 else Product(tuple(parts))
             label, parts = outer.pop()
             parts.append(Unary(-t, inner))
     if outer:

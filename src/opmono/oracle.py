@@ -10,9 +10,10 @@ Every monomial is built as a canonical fixed point, so no deduplication is
 needed.
 
 A cell is the tuple of monomials of one type (r, s) in canonical-key order:
-its atoms, then its products.  :func:`enumerate_monomials` fills the cells
-(r', s') <= (r, s) in order, r' ascending and s' in box order, so a cell only
-reads filled cells and a deep chain costs no recursion.
+its atoms, then its products.  One family (regime, d) is kept, each cell once;
+a request for another family drops it.  :func:`enumerate_monomials` fills the
+missing cells (r', s') <= (r, s) in order, r' ascending and s' in box order,
+so a cell reads filled cells only and a deep chain costs no recursion.
 
 No product is ever keyed.  Atoms come out in key order directly: the key of
 Pi(c) is (1, i) followed by the key of c, so the atoms go label by label,
@@ -26,9 +27,8 @@ once per cell.  A sequence takes its heads in rank order, each followed by
 the tails of the complementary cell sorted once by rank tuple.  A multiset
 picks, for each weight type it uses, a multiset of that type's atoms by
 ``combinations_with_replacement``, one recursion level per type used (so at
-most r deep), and its rank tuples are sorted.  The caches hold monomials
-only: keeping a key beside every cached monomial more than doubles the
-oracle's peak memory.
+most r deep), and its rank tuples are sorted.  No key is stored: a key
+beside every stored monomial more than doubles the oracle's peak memory.
 """
 
 from __future__ import annotations
@@ -52,40 +52,38 @@ class EnumerationCapExceeded(counting.WorkLimitExceeded):
 DEFAULT_CAP = 10 ** 7
 
 
-@lru_cache(maxsize=None)
-def _atoms(regime: Regime, d: int, r: int, s: tuple[int, ...]) -> tuple[Monomial, ...]:
-    # keys (1, i, key(child)): by label, then in the child cell's order; with
-    # commuting labels the child may not be a chain starting below label i
-    out: list[Monomial] = [STAR] if r == 1 and not any(s) else []
+@lru_cache(maxsize=1)
+def _family(regime: Regime, d: int) -> dict:
+    # the family's store: (r, s) -> (cell, n), the cell's atoms being its first n
+    return {}
+
+
+def _fill(store: dict, regime: Regime, r: int, s: tuple[int, ...]) -> None:
+    # atoms, keys (1, i, key(child)): by label, then in the child cell's order;
+    # with commuting labels the child may not be a chain starting below label i
+    atoms: list[Monomial] = [STAR] if r == 1 and not any(s) else []
     commuting = regime.unary_commute
-    for i in range(1, d + 1):
-        if s[i - 1]:
-            child_s = s[:i - 1] + (s[i - 1] - 1,) + s[i:]
-            out += [Unary(i, c) for c in _monomials(regime, d, r, child_s)
-                    if not commuting or type(c) is not Unary or c.label >= i]
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _monomials(regime: Regime, d: int, r: int, s: tuple[int, ...]) -> tuple[Monomial, ...]:
+    for i, si in enumerate(s, 1):
+        if si:
+            atoms += [Unary(i, c) for c in store[r, s[:i - 1] + (si - 1,) + s[i:]][0]
+                      if not commuting or type(c) is not Unary or c.label >= i]
     # the head atoms: those of the types that can be a factor here
-    types = [(r1, s1, _atoms(regime, d, r1, s1)) for r1 in range(1, r) for s1 in _box(s)]
-    types = [t for t in types if t[2]]
-    heads = sorted((a for *_, atoms in types for a in atoms), key=canonical_key)
+    types = [(r1, s1, store[r1, s1]) for r1 in range(1, r) for s1 in _box(s)]
+    types = [(r1, s1, cell[:n]) for r1, s1, (cell, n) in types if n]
+    heads = sorted((a for *_, group in types for a in group), key=canonical_key)
     rank = {id(a): i for i, a in enumerate(heads)}
     if regime.mult_commute:
-        groups = [(r1, s1, [rank[id(a)] for a in atoms]) for r1, s1, atoms in types]
+        groups = [(r1, s1, [rank[id(a)] for a in group]) for r1, s1, group in types]
         picks = sorted(tuple(sorted(p)) for p in _pick(groups, 0, r, s))
         products = [Product(tuple([heads[i] for i in p])) for p in picks]
     else:
         tails = {}
-        for r1, s1, atoms in types:
-            rest = sorted(map(factors, _monomials(regime, d, r - r1, _sub(s, s1))),
+        for r1, s1, group in types:
+            rest = sorted(map(factors, store[r - r1, _sub(s, s1)][0]),
                           key=lambda fs: [rank[id(f)] for f in fs])
-            for a in atoms:
-                tails[id(a)] = rest
+            tails.update((id(a), rest) for a in group)
         products = [Product((a,) + fs) for a in heads for fs in tails[id(a)]]
-    return _atoms(regime, d, r, s) + tuple(products)
+    store[r, s] = (*atoms, *products), len(atoms)
 
 
 def _pick(groups, j: int, r: int, s: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -121,11 +119,13 @@ def enumerate_monomials(d: int, r: int, s, regime: Regime,
     predicted = counting.count(regime, d, r, s)
     if predicted > cap:
         raise EnumerationCapExceeded(predicted, cap)
-    # in order, so each cell reads filled cells only; the last one is (r, s)
+    # in order, so each cell reads filled cells only
+    store = _family(regime, d)
     for r2 in range(1, r + 1):
         for s2 in _box(s):
-            cell = _monomials(regime, d, r2, s2)
-    return list(cell)
+            if (r2, s2) not in store:
+                _fill(store, regime, r2, s2)
+    return list(store[r, s][0])
 
 
 def count_by_length(d: int, ell: int, n: int, regime: Regime,

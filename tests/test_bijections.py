@@ -205,6 +205,19 @@ class TestPaths:
         # one-step ascents are always fine
         assert matched_ascent_monotone(path_from_text("U2 H D", 1))
 
+    @pytest.mark.parametrize("text,message", [
+        ("H D", "path dips below the axis"),
+        ("U1 H D D U1 H D", "path dips below the axis"),
+        ("U1 U2 H", "path does not end on the axis"),
+        # not monotone, and still checked to the end
+        ("U2 U1 H D D U1 H", "path does not end on the axis"),
+    ])
+    def test_matched_ascent_rejects_an_invalid_path(self, text, message):
+        p = path_from_text(text, 1)
+        for check in (validate_path, matched_ascent_monotone):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check(p)
+
     def test_monotone_iff_canonical(self):
         for ell in (1, 2):
             for m in small_monomials():

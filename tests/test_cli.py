@@ -203,6 +203,17 @@ class TestVerifyAndBfile:
         assert (code, out) == (2, "")
         assert err == "error: fixture line 1: missing key 'd'\n"
 
+    @pytest.mark.parametrize("line,message", [
+        ("seq A free d=x ell=1 offset=1: 1", "d is not an integer: 'x'"),
+        ("seq A q d=1 ell=1 offset=1: 1", "unknown regime code 'q'"),
+    ])
+    def test_fixture_line_bad_value_exits_2(self, capsys, tmp_path, line, message):
+        f = tmp_path / "bad.txt"
+        f.write_text(line + "\n")
+        code, out, err = run(capsys, "verify", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: fixture line 1: {message}")
+
     def test_bfile(self, capsys):
         code, out, _ = run(capsys, "bfile", "--regime", "free", "--d", "2",
                            "--ell", "2", "--terms", "5")
@@ -322,6 +333,19 @@ class TestFixtureParsing:
     def test_missing_key(self, line, key):
         with pytest.raises(ValueError, match=re.escape(f"fixture line 1: missing key {key!r}")):
             fixtures.parse_fixtures(line)
+
+    @pytest.mark.parametrize("line,message", [
+        ("seq A free d=x ell=1 offset=1: 1", "d is not an integer: 'x'"),
+        ("seq A free d=1 ell=1.5 offset=1: 1", "ell is not an integer: '1.5'"),
+        ("seq A free d=1 ell=1 offset=: 1", "offset is not an integer: ''"),
+        ("arow A free d=1 r=two: 1", "r is not an integer: 'two'"),
+        ("count A free d=2 r=1 s=1,y: 1", "s is not an integer: 'y'"),
+        ("seq A free d=1 ell=1 offset=1: 1,2,z", "term is not an integer: 'z'"),
+        ("seq A zz d=1 ell=1 offset=1: 1", "unknown regime code 'zz'"),
+    ])
+    def test_bad_value_names_the_line(self, line, message):
+        with pytest.raises(ValueError, match=re.escape(f"fixture line 2: {message}")):
+            fixtures.parse_fixtures("# a comment\n" + line)
 
     def test_offset_zero_entry(self):
         (e,) = fixtures.parse_fixtures(

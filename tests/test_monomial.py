@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import time
 
 import pytest
@@ -163,6 +164,18 @@ class TestWordCodec:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             decode_word([3, 0, -3], 2)
+
+    @pytest.mark.parametrize("tokens,message", [
+        ([], "empty product"),
+        ([1, -1], "empty delimiter interior"),
+        ([0, 1, 0], "unbalanced delimiters: unclosed delimiter"),
+        ([0, -1], "unbalanced delimiters"),
+        ([1, 0, -2], "unbalanced delimiters"),
+        ([1, 3, 0, -3, -1], "label 3 out of range [1, 2]"),
+    ])
+    def test_error_messages(self, tokens, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            decode_word(tokens, 2)
 
     def test_word_text_round_trip(self):
         m = parse_monomial("*P1(*P2(**))")

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from opmono import (
     count_by_length,
     degree,
     enumerate_monomials,
+    format_monomial,
     is_canonical,
     multiplicity,
     parse_monomial,
@@ -73,8 +75,7 @@ def test_deep_chain_within_default_recursion_limit():
     sys.setrecursionlimit(1000)
     try:
         for regime in Regime:
-            oracle._atoms.cache_clear()
-            oracle._monomials.cache_clear()
+            oracle._family.cache_clear()
             assert enumerate_monomials(1, 1, (1000,), regime) == want
     finally:
         sys.setrecursionlimit(limit)
@@ -87,17 +88,65 @@ def test_deep_chain_within_default_recursion_limit():
     assert proc.returncode == 0 and proc.stdout == "P1(" * 1000 + "*" + ")" * 1000 + "\n"
 
 
+class StoreReads(dict):
+    """A family store that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+
 @pytest.mark.parametrize("regime", [Regime.COMM_UNARY, Regime.COMM_BOTH], ids=["c", "cm"])
-def test_commuting_chain_reads_one_cell_below(regime):
+def test_commuting_chain_reads_one_cell_below(regime, monkeypatch):
     # each atom of the chain is one label over the atom one cell below it,
     # not a scan of every chain vector of its box
     k = 1000
-    oracle._atoms.cache_clear()
-    oracle._monomials.cache_clear()
+    store = StoreReads()
+    monkeypatch.setattr(oracle, "_family", lambda regime, d: store)
     got = enumerate_monomials(1, 1, (k,), regime)
-    hits = oracle._atoms.cache_info().hits + oracle._monomials.cache_info().hits
     assert got == [parse_monomial("P1(" * k + "*" + ")" * k)]
-    assert hits <= 10 * k
+    assert store.reads <= 10 * k
+
+
+# SHA-256 of format_monomial over every cell of test_output_is_pinned, as
+# computed by the oracle that kept every family's atoms and cells in two
+# unbounded caches
+ORACLE_SHA256 = "e40af053775914b7e2eeb380a3ce7c5ec22ca1309348eb45275e3edfca3de1b2"
+
+
+def test_output_is_pinned():
+    h = hashlib.sha256()
+    for code in ("free", "c", "m", "cm"):
+        for d in (1, 2, 3):
+            for r, s in multidegrees(d, 6):
+                cell = enumerate_monomials(d, r, s, Regime.from_code(code))
+                h.update(f"{code} d={d} r={r} s={','.join(map(str, s))}: ".encode())
+                h.update(" ".join(map(format_monomial, cell)).encode() + b"\n")
+    assert h.hexdigest() == ORACLE_SHA256
+
+
+def test_store_holds_one_family():
+    oracle._family.cache_clear()
+    box = {(r, s) for r in (1, 2, 3) for s in product(range(2), range(3))}
+    first = enumerate_monomials(2, 3, (1, 2), Regime.FREE)
+    store = oracle._family(Regime.FREE, 2)
+    assert set(store) == box
+    held = sys.getrefcount(store)
+    second = enumerate_monomials(2, 3, (1, 2), Regime.COMM_MULT)
+    # the first family's store is dropped: the holder no longer refers to it
+    assert sys.getrefcount(store) == held - 1
+    assert oracle._family.cache_info().currsize == 1
+    assert set(oracle._family(Regime.COMM_MULT, 2)) == box
+    assert len(second) == count(Regime.COMM_MULT, 2, 3, (1, 2)) < len(first)
+    # asking for the first family again rebuilds the same cells
+    assert enumerate_monomials(2, 3, (1, 2), Regime.FREE) == first
+    assert oracle._family(Regime.FREE, 2) is not store
 
 
 def test_matches_counting_engine_small():
@@ -142,8 +191,7 @@ def test_rejects_bad_degree():
 def test_multiset_cells_within_default_recursion_limit(regime, r, s, want):
     # these cells have over a thousand candidate atoms, so the multiset
     # generator must recurse once per factor and not once per candidate
-    oracle._atoms.cache_clear()
-    oracle._monomials.cache_clear()
+    oracle._family.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -154,7 +202,7 @@ def test_multiset_cells_within_default_recursion_limit(regime, r, s, want):
 
 
 def test_multiset_generator_leaves_no_cyclic_garbage():
-    oracle._monomials.cache_clear()
+    oracle._family.cache_clear()
     assert cyclic_garbage(enumerate_monomials, 2, 4, (2, 2), Regime.COMM_MULT) == 0
 
 
