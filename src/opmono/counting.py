@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate, combinations, product as cartesian
-from operator import mul, sub
+from operator import floordiv, mul, sub
 
 from .monomial import Regime
 
@@ -81,7 +81,7 @@ def _check_args(d: int, r: int, s) -> tuple[int, ...]:
         raise ValueError(f"multiplicity vector has length {len(s)}, expected {d}")
     if r < 1:
         raise ValueError("degree r must be >= 1")
-    if any(si < 0 for si in s):
+    if min(s) < 0:
         raise ValueError("multiplicities must be nonnegative")
     return s
 
@@ -137,16 +137,23 @@ def layer_weight(commuting: bool, d: int, z):
 # a multiset gives the Euler transform, r*a_r = sum_j c_j*a_{r-j} with
 # c_r = sum_{j | gcd(r, s)} (r/j)*abar(r/j, s/j).  Here a is the coefficient
 # of 1 + B (a_0 = [s = 0]); ``multiset`` is Regime.mult_commute and d = len(s).
+# A cell reads only cells of its lower box, and a stored cell implies its whole
+# lower box.  So when (r - 1, s) and every (r, s - e_k) are stored, (r, s) is
+# the only missing cell of its box, and it is filled alone after d + 1 lookups.
 
 @lru_cache(maxsize=None)
 def _divisors(n: int) -> tuple[int, ...]:
-    return tuple(j for j in range(1, n + 1) if n % j == 0)
+    small = [j for j in range(1, math.isqrt(n) + 1) if n % j == 0]
+    return tuple(small + [n // j for j in reversed(small) if j * j != n])
 
 
 # The most terms one fill may read (see _box_work); count raises
 # WorkLimitExceeded before any work above it.  Python 3.11 on two cores reads
 # about 3 million terms a second; dense cells take about 30*d bytes each.
 WORK_LIMIT = 10 ** 7
+# The most bits the free closed form's answer may have, by an upper bound
+# known before any work; 450,000 bits take about 3 s, as WORK_LIMIT terms do.
+FREE_BITS_LIMIT = 450_000
 
 
 class WorkLimitExceeded(RuntimeError):
@@ -164,24 +171,33 @@ def _box_work(r: int, s: tuple[int, ...]) -> int:
     return cells + terms
 
 
+def _check_work(r: int, s: tuple[int, ...], work: int) -> None:
+    if work > WORK_LIMIT:
+        raise WorkLimitExceeded(f"count at r={r}, s={s} would read {work} terms, "
+                                f"above the cap {WORK_LIMIT}")
+
+
 @lru_cache(maxsize=None)
-def _cells(commuting: bool, multiset: bool, d: int) -> list[tuple[dict, ...]]:
+def _cells(commuting: bool, multiset: bool, d: int) -> list:
     # one family's store, grown in place: entry r >= 1 holds dicts keyed by s
     # of a, the atoms, c (the atoms themselves for a sequence) and, for
     # commuting labels, (D_0, ..., D_{d-1}).  A cell enters a last, once
-    # every cell below it is stored, so a stored cell needs no more work.
-    return [()]
+    # every cell below it is stored, so a stored cell implies its whole lower
+    # box.  Entry 0 holds the shape of each s that a single-cell fill met: its
+    # s - e_k, and its box in order once a degree r > 1 needed it.  They name
+    # each vector by one tuple, kept in the third dict, which also keys the
+    # cells these fills store; so a cached box costs a pointer per entry, at
+    # most 8 bytes per term its first fill reads.
+    return [({}, {}, {})]
 
 
 def _fill(levels: list, commuting: bool, multiset: bool, r: int, s: tuple[int, ...],
-          box: list) -> None:
+          preds: list, box: list) -> None:
     a_r, atoms_r, c_r, diff_r = levels[r]
     if commuting:
-        terms = [diff_r[s[:k] + (sk - 1,) + s[k + 1:]][k] if sk else 0
-                 for k, sk in enumerate(s)]
+        terms = [diff_r[p][k] if p else 0 for k, p in enumerate(preds)]
     else:
-        terms = [a_r[s[:k] + (sk - 1,) + s[k + 1:]] if sk else 0
-                 for k, sk in enumerate(s)]
+        terms = [a_r[p] if p else 0 for p in preds]
     abar = (1 if r == 1 and not any(s) else 0) + sum(terms)
     c = abar
     if multiset:
@@ -206,35 +222,79 @@ def _fill(levels: list, commuting: bool, multiset: bool, r: int, s: tuple[int, .
 
 
 def _count(commuting: bool, multiset: bool, r: int, s: tuple[int, ...]) -> int:
-    # a stored cell is read at once; otherwise the missing cells of the box
-    # (r, s) are filled in order, s' in box order and r' ascending
+    # a stored cell is read at once and a cell whose predecessors are stored
+    # is filled alone; otherwise the missing cells of the box (r, s) are
+    # filled in order, s' in box order and r' ascending
     levels = _cells(commuting, multiset, len(s))
-    if r < len(levels) and s in levels[r][0]:
-        return levels[r][0][s]
-    work = _box_work(r, s)
-    if work > WORK_LIMIT:
-        raise WorkLimitExceeded(f"count at r={r}, s={s} would read {work} terms, "
-                                f"above the cap {WORK_LIMIT}")
-    while len(levels) <= r:
-        atoms = {}
-        levels.append(({}, atoms, {} if multiset else atoms, {}))
-    for s2 in _box(s):
+    if r < len(levels):
+        a_r = levels[r][0]
+        if s in a_r:
+            return a_r[s]
+        shapes, boxes, canon = levels[0]
+        preds = shapes.get(s)
+        # s - e_k, None where s_k = 0; the s_k >= 1 give distinct cells, so
+        # building them costs no more than what level r already stores
+        if preds is None and len(a_r) >= len(s) - s.count(0):
+            preds = [s[:k] + (sk - 1,) + s[k + 1:] if sk else None for k, sk in enumerate(s)]
+        if (preds is not None and (r == 1 or s in levels[r - 1][0])
+                and all(map(a_r.__contains__, filter(None, preds)))):
+            s = canon.setdefault(s, s)
+            if s not in shapes:
+                shapes[s] = preds = [p and canon.setdefault(p, p) for p in preds]
+            if r > 1 and s not in boxes:  # degree 1 convolves nothing
+                boxes[s] = [canon.setdefault(t, t) for t in _box(s)]
+            box = boxes[s] if r > 1 else ()
+            _check_work(r, s, len(s) + (r - 1) * len(box))
+            _fill(levels, commuting, multiset, r, s, preds, box)
+            return a_r[s]
+    _check_work(r, s, _box_work(r, s))
+    while len(levels) <= r:  # at degree 1, a = atoms = c: one dict holds all three
+        a = {}
+        atoms = a if len(levels) == 1 else {}
+        levels.append((a, atoms, {} if multiset and len(levels) > 1 else atoms, {}))
+    # in the box of s, s2 - e_k sits prod(s_j + 1 for j > k) places before s2
+    cells = list(_box(s))
+    strides = [*accumulate([si + 1 for si in s], floordiv, initial=len(cells))][1:]
+    for i, s2 in enumerate(cells):
         if s2 not in levels[r][0]:
-            box = list(_box(s2)) if r > 1 else []  # degree 1 convolves nothing
+            preds = [cells[i - st] if sk else None for sk, st in zip(s2, strides)]
+            box = list(_box(s2)) if r > 1 else ()
             for r2 in range(1, r + 1):
                 if s2 not in levels[r2][0]:
-                    _fill(levels, commuting, multiset, r2, s2, box)
+                    _fill(levels, commuting, multiset, r2, s2, preds, box)
     return levels[r][0][s]
+
+
+def _free_bits(r: int, s: tuple[int, ...]) -> float:
+    # an upper bound on the bit length of multinomial(s)*narayana(r + k, k),
+    # as N(n, k) <= C(n, k)*C(n, k + 1): log2 of n!/prod(p!) over parts p
+    # summing to n is at most sum p*log2(n/p), and p*log2(n/p) <= (n - p)*log2(e)
+    k, bits = sum(s), 0.0
+    try:
+        for parts in (s, (k, r), (k + 1, r - 1)):
+            n = sum(parts)
+            for p in parts:
+                if 0 < p < n:
+                    diff = math.log2(n) - math.log2(p)
+                    bits += p * diff if diff else (n - p) * math.log2(math.e)
+    except OverflowError:  # a count far beyond any cap
+        return math.inf
+    return bits
 
 
 def count(regime: Regime, d: int, r: int, s) -> int:
     """Monomials of degree r and multiplicity s.  The free regime answers by
     its closed form; every other regime reads the cell store of its family,
-    filling the missing cells of the box (r, s) in order, so no call
-    recurses.  A fill that would read more than ``WORK_LIMIT`` terms raises
+    filling a cell alone when the cells just below it are stored and the
+    missing cells of the box (r, s) in order otherwise, so no call recurses.
+    A request over ``WORK_LIMIT`` terms or ``FREE_BITS_LIMIT`` bits raises
     :class:`WorkLimitExceeded` before any work."""
     s = _check_args(d, r, s)
     if regime is Regime.FREE:
+        bits = _free_bits(r, s)
+        if bits > FREE_BITS_LIMIT:
+            raise WorkLimitExceeded(f"the free count at r={r}, s={s} may have "
+                                    f"{bits:.0f} bits, above the cap {FREE_BITS_LIMIT}")
         k = sum(s)
         return multinomial(s) * narayana(r + k, k)
     return _count(regime.unary_commute, regime.mult_commute, r, s)
@@ -323,33 +383,32 @@ class LengthSequence:
         return terms if count is None else terms[:count]
 
 
-def free_length_closed(d: int, ell: int, n: int) -> int:
-    """Direct Narayana sum for the free count at word length n."""
-    total = 0
-    for k in range(0, (n - ell) // 2 + 1):
-        if (n - 2 * k) % ell == 0:
-            r = (n - 2 * k) // ell
-            total += d ** k * narayana(r + k, k)
-    return total
-
-
-def free_length_closed_table(d: int, ell: int, n_max: int) -> list[int]:
-    """:func:`free_length_closed` for every 0 <= n <= n_max in one pass.
-
-    Along each degree r the Narayana numbers are stepped by
-    N(r+k, k) = N(r+k-1, k-1) * (r+k-1)(r+k) / (k(k+1)), starting from
-    N(r, 0) = 1; every division is checked to be exact."""
-    table = [0] * (n_max + 1)
-    for r in range(1, n_max // ell + 1):
-        nar = weight = 1  # N(r+k, k) and d^k
-        for k in range((n_max - ell * r) // 2 + 1):
-            if k:
+def _free_closed_sums(d: int, ell: int, lo: int, hi: int) -> list[int]:
+    # the free counts at word lengths lo..hi by the Narayana sum over
+    # n = ell*r + 2k: each degree r starts from one narayana call and steps
+    # N(r+k, k) = N(r+k-1, k-1) * (r+k-1)(r+k) / (k(k+1)), every division checked
+    sums = [0] * (hi - lo + 1)
+    for r in range(1, hi // ell + 1):
+        k0 = max(0, (lo - ell * r + 1) // 2)
+        nar, weight = narayana(r + k0, k0), d ** k0
+        for k in range(k0, (hi - ell * r) // 2 + 1):
+            if k > k0:
                 nar, rem = divmod(nar * (r + k - 1) * (r + k), k * (k + 1))
                 if rem:
                     raise SelfCheckError(f"Narayana step to N({r + k},{k}) not exact")
                 weight *= d
-            table[ell * r + 2 * k] += weight * nar
-    return table
+            sums[ell * r + 2 * k - lo] += weight * nar
+    return sums
+
+
+def free_length_closed(d: int, ell: int, n: int) -> int:
+    """Direct Narayana sum for the free count at word length n."""
+    return _free_closed_sums(d, ell, n, n)[0]
+
+
+def free_length_closed_table(d: int, ell: int, n_max: int) -> list[int]:
+    """:func:`free_length_closed` for every 0 <= n <= n_max in one pass."""
+    return _free_closed_sums(d, ell, 0, n_max)
 
 
 def _length_values(layer: dict[int, int], ell: int, n_max: int, multiset: bool,
@@ -401,13 +460,14 @@ def _extend_table(table: list[int], commuting: bool, multiset: bool, d: int,
     b = _length_values({k // step: v for k, v in layer.items()}, ell // step,
                        n_max // step, multiset, table)
     new = range(len(table), len(b))
-    if not commuting and not multiset:
-        closed = free_length_closed_table(d, ell, n_max)
+    if not commuting and not multiset:  # only the new terms are summed
+        lo = step * len(table)
+        closed = _free_closed_sums(d, ell, lo, step * (len(b) - 1))
         for m in new:
-            if closed[step * m] != b[m]:
+            if closed[step * m - lo] != b[m]:
                 raise SelfCheckError(
                     f"free length count mismatch at n={step * m}: "
-                    f"closed sum {closed[step * m]} vs recurrence {b[m]}")
+                    f"closed sum {closed[step * m - lo]} vs recurrence {b[m]}")
     if ell // step in new and b[ell // step] != 1:
         raise SelfCheckError(f"count at the minimal length {ell} is not 1")
     table += b[len(table):]

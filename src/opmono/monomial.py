@@ -44,10 +44,13 @@ class Regime(Enum):
     @classmethod
     def from_code(cls, code: str) -> "Regime":
         try:
-            return cls(code)
-        except ValueError:
+            return _REGIMES[code]
+        except (KeyError, TypeError):  # TypeError: an unhashable code
             raise ValueError(f"unknown regime code {code!r}; expected one of "
                              f"{[r.value for r in cls]}") from None
+
+
+_REGIMES = {key: regime for regime in Regime for key in (regime.value, regime)}
 
 
 class Monomial:

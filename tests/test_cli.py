@@ -403,6 +403,17 @@ class TestFreshProcess:
             "3 True", "opmono opmono.cli opmono.counting opmono.monomial", ""]
         assert proc.stderr.startswith("error: count at r=1")
 
+    def test_free_count_over_its_bit_cap_exits_3_at_once(self):
+        argv = ["count", "--regime", "free", "--d", "2", "--r", "1", "--s", "300000,300000"]
+        proc = self.python("-c", "import time\nfrom opmono.cli import main\n"
+                           f"t = time.perf_counter()\nrc = main({argv!r})\n"
+                           "print(rc, time.perf_counter() - t < 0.2)\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "3 True\n"
+        assert proc.stderr.startswith("error: the free count at r=1")
+        proc = self.python("-m", "opmono.cli", *argv)
+        assert proc.returncode == 3 and proc.stdout == ""
+
     def test_count_of_more_than_4300_digits_prints(self):
         argv = ["count", "--regime", "free", "--d", "2", "--r", "1", "--s", "8000,8000"]
         proc = self.python("-c", "import contextlib, io\n"

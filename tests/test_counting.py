@@ -31,6 +31,11 @@ from opmono import (
 from helpers import full_lattice_lengths, multidegrees
 
 
+def test_divisors_match_trial_division():
+    for n in range(1, 2001):
+        assert counting._divisors(n) == tuple(j for j in range(1, n + 1) if n % j == 0)
+
+
 class TestNarayana:
     def test_values(self):
         assert narayana(1, 0) == 1
@@ -278,8 +283,8 @@ class TestSharedLengthTable:
         counting._length_table.cache_clear()
         length_sequence(Regime.FREE, 2, 1, 10)
         before = list(counting._length_table(False, False, 2, 1))
-        monkeypatch.setattr(counting, "free_length_closed_table",
-                            lambda d, ell, n_max: [0] * (n_max + 1))
+        monkeypatch.setattr(counting, "_free_closed_sums",
+                            lambda d, ell, lo, hi: [0] * (hi - lo + 1))
         with pytest.raises(counting.SelfCheckError, match="closed sum"):
             length_sequence(Regime.FREE, 2, 1, 20)
         assert counting._length_table(False, False, 2, 1) == before
@@ -443,7 +448,7 @@ class TestCellStore:
         monkeypatch.setattr(counting, "WORK_LIMIT", counting._box_work(r, s) - 1)
         with pytest.raises(counting.WorkLimitExceeded, match="above the cap"):
             count(Regime.COMM_UNARY, 2, r, s)
-        assert counting._cells(True, False, 2) == [()]  # nothing was stored
+        assert not any(level[0] for level in counting._cells(True, False, 2)[1:])  # no cell
         # a cold fill at the limit reads d layer terms per cell and exactly
         # the predicted convolution products
         fills, products = [], []
@@ -454,13 +459,107 @@ class TestCellStore:
         assert count(Regime.COMM_UNARY, 2, r, s) == 33222  # the oracle's count
         assert 2 * len(fills) + len(products) == counting._box_work(r, s)
 
-    def test_huge_box_is_refused_at_once_and_free_is_not_guarded(self):
+    def test_a_cell_with_stored_predecessors_alone_costs_its_predicted_work(
+            self, monkeypatch):
+        # (6, (2, 3)) once (5, (2, 3)), (6, (1, 3)) and (6, (2, 2)) are
+        # stored: d layer terms and (r - 1)*|box(s)| = 5*12 products
+        r, s, work = 6, (2, 3), 2 + 5 * 12
+        counting._cells.cache_clear()
+        cold = count(Regime.COMM_UNARY, 2, r, s)
+        counting._cells.cache_clear()
+        for below in ((5, (2, 3)), (6, (1, 3)), (6, (2, 2))):
+            count(Regime.COMM_UNARY, 2, *below)
+        monkeypatch.setattr(counting, "WORK_LIMIT", work - 1)
+        with pytest.raises(counting.WorkLimitExceeded, match=f"read {work} terms"):
+            count(Regime.COMM_UNARY, 2, r, s)
+        fills, products = [], []
+        fill = counting._fill
+        monkeypatch.setattr(counting, "_fill", lambda *args: fills.append(1) or fill(*args))
+        monkeypatch.setattr(counting, "mul", lambda x, y: products.append(1) or x * y)
+        monkeypatch.setattr(counting, "WORK_LIMIT", work)
+        assert count(Regime.COMM_UNARY, 2, r, s) == cold
+        assert 2 * len(fills) + len(products) == work and len(fills) == 1
+
+    @pytest.mark.parametrize("regime", [Regime.COMM_UNARY, Regime.COMM_MULT,
+                                        Regime.COMM_BOTH], ids=["c", "m", "cm"])
+    def test_stored_predecessors_fill_the_cell_alone(self, regime, monkeypatch):
+        r, s = 4, (2, 1)
+        counting._cells.cache_clear()
+        for below in ((3, (2, 1)), (4, (1, 1)), (4, (2, 0))):
+            count(regime, 2, *below)
+        levels = counting._cells(regime.unary_commute, regime.mult_commute, 2)
+        stored = [len(level[0]) for level in levels[1:]]
+        probes = []
+
+        class Probed(dict):  # records every key looked up at degree r
+            def __contains__(self, key):
+                probes.append(key)
+                return super().__contains__(key)
+
+            def __getitem__(self, key):
+                probes.append(key)
+                return super().__getitem__(key)
+
+        levels[r] = (Probed(levels[r][0]), *levels[r][1:])
+        fills, boxes = [], []
+        fill, box = counting._fill, counting._box
+        monkeypatch.setattr(counting, "_fill",
+                            lambda *args: fills.append(args[3:5]) or fill(*args))
+        monkeypatch.setattr(counting, "_box", lambda s2: boxes.append(s2) or box(s2))
+        want = count(regime, 2, r, s)
+        assert fills == [(r, s)] and boxes == [s]  # only its own shape is built
+        assert set(probes) <= {s, (1, 1), (2, 0)}  # itself and s - e_k
+        stored[r - 1] += 1
+        assert [len(level[0]) for level in levels[1:]] == stored
+        counting._cells.cache_clear()
+        assert want == count(regime, 2, r, s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans(), st.booleans(), st.integers(1, 3), st.data())
+    def test_any_request_order_gives_the_cold_values(self, commuting, multiset, d, data):
+        cells = list(multidegrees(d, 8))
+        requests = data.draw(st.lists(st.tuples(st.sampled_from(cells), st.booleans()),
+                                      min_size=1, max_size=25))
+        cold = {}
+        for (r, s), _ in requests:
+            counting._cells.cache_clear()
+            cold[r, s] = counting._count(commuting, multiset, r, s)
+        counting._cells.cache_clear()
+        for (r, s), clear in requests:
+            if clear:
+                counting._cells.cache_clear()
+            assert counting._count(commuting, multiset, r, s) == cold[r, s]
+        # a stored cell implies its whole lower box, and holds its cold value
+        for r, level in enumerate(counting._cells(commuting, multiset, d)[1:], 1):
+            for s, v in level[0].items():
+                assert all(s2 in level[0] for s2 in counting._box(s))
+                assert r == 1 or s in counting._cells(commuting, multiset, d)[r - 1][0]
+                if (r, s) in cold:
+                    assert v == cold[r, s]
+
+    def test_huge_box_is_refused_at_once_and_free_answers_below_its_bit_cap(self):
         start = time.perf_counter()
         for regime in (Regime.COMM_UNARY, Regime.COMM_MULT, Regime.COMM_BOTH):
             with pytest.raises(counting.WorkLimitExceeded):
                 count(regime, 2, 1, (100000, 100000))
         assert time.perf_counter() - start < 1.0
         assert count(Regime.FREE, 2, 1, (5000, 5000)) == math.comb(10000, 5000)
+
+    @pytest.mark.parametrize("r, s", [(1, (300000, 300000)), (200000, (100000, 100000)),
+                                      (300000, (150000,))])
+    def test_free_count_over_its_bit_cap_is_refused_at_once(self, r, s):
+        start = time.perf_counter()
+        with pytest.raises(counting.WorkLimitExceeded, match="above the cap"):
+            count(Regime.FREE, len(s), r, s)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("r, s", [(7, (3, 0, 2)), (1, (20000, 20000)),
+                                      (30000, (5000, 5000, 5000)), (1, (10 ** 400,)),
+                                      (10 ** 400, (0, 0))],
+                             ids=["small", "r=1", "three labels", "huge s", "huge r"])
+    def test_free_bit_bound_holds_and_is_tight_for_large_counts(self, r, s):
+        bits = count(Regime.FREE, len(s), r, s).bit_length()
+        assert bits <= counting._free_bits(r, s) <= max(1.001 * bits, bits + 1400)
 
 
 class TestTablePrefix:

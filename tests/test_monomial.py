@@ -224,6 +224,14 @@ def test_regime_switches(regime, unary, mult):
     assert regime.unary_commute is unary
     assert regime.mult_commute is mult
     assert Regime(regime.value) is Regime.from_code(regime.value) is regime
+    assert Regime.from_code(regime) is regime
+
+
+@pytest.mark.parametrize("code", ["q", "FREE", ["c"], {}, None, 1])
+def test_unknown_or_unhashable_regime_code(code):
+    with pytest.raises(ValueError, match=r"^unknown regime code .*; expected one of "
+                                         r"\['free', 'c', 'm', 'cm'\]$"):
+        Regime.from_code(code)
 
 
 class TestFlatKey:
