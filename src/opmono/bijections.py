@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .counting import narayana
 from .monomial import (
     STAR,
     Monomial,
@@ -24,6 +25,7 @@ from .monomial import (
     decode_word,
     encode_word,
 )
+from .oracle import DEFAULT_CAP, EnumerationCapExceeded
 
 
 class _ByPreorder:
@@ -238,35 +240,54 @@ def matched_ascent_monotone(p: LatticePath) -> bool:
     return monotone
 
 
+def _check_cap(d: int, ell: int, span: int, what: str) -> None:
+    # the models of word length span are as many as the free monomials,
+    # sum_r d^k*N(r+k, k) over ell*r + 2k = span, summed only until it passes
+    # the cap; d^64 is above the cap for d >= 2, so no larger power is taken
+    total = 0
+    for r in range(1, span // ell + 1):
+        k, odd = divmod(span - ell * r, 2)
+        if not odd:
+            total += d ** min(k, 64) * narayana(r + k, k)
+            if total > DEFAULT_CAP:
+                raise EnumerationCapExceeded(total, DEFAULT_CAP, what + " or more")
+
+
+def _closes(ell: int, rest: int, height: int, after_up: bool) -> bool:
+    # can a prefix at this height, with rest of the span left, end on the
+    # axis?  Besides height down-steps it needs gap = 2u + ell*k for u up/down
+    # pairs and k >= 1 horizontal steps (a down-step never follows an up-step)
+    gap = rest - height
+    if gap <= 0:
+        return gap == 0 and not after_up
+    return gap >= ell and ((gap - ell) % 2 == 0 or (ell % 2 == 1 and gap >= 2 * ell))
+
+
 def all_lattice_paths(d: int, ell: int, span: int) -> list[LatticePath]:
     """All peakless nonnegative paths of the given total horizontal span
-    ending on the axis, with d up-step labels and horizontal span ell."""
+    ending on the axis, with d up-step labels and horizontal span ell.
+
+    Raises :class:`oracle.EnumerationCapExceeded` before any listing when
+    there are more than ``oracle.DEFAULT_CAP`` of them."""
     if d < 1 or ell < 1 or span < 0:
         raise ValueError("need d >= 1, ell >= 1 and span >= 0")
+    _check_cap(d, ell, span, "paths")
     out: list[LatticePath] = []
-    steps: list[tuple] = []
-
-    def go(remaining: int, height: int, prev_up: bool) -> None:
-        if remaining == 0:
-            if height == 0:
-                out.append(LatticePath(tuple(steps)))
-            return
-        if remaining >= ell:
-            steps.append(("H", ell))
-            go(remaining - ell, height, False)
-            steps.pop()
-        if remaining - 1 >= height + 1:
-            for i in range(1, d + 1):
-                steps.append(("U", i))
-                go(remaining - 1, height + 1, True)
-                steps.pop()
-        if height > 0 and not prev_up:
-            steps.append(("D",))
-            go(remaining - 1, height - 1, False)
-            steps.pop()
-
-    go(span, 0, False)
-    del go  # break its self-reference, so no cycle holds out after the caller drops it
+    # a prefix is extended only while it can still close, children pushed
+    # last first, so paths come out depth first: H, then U1..Ud, then D
+    todo = [((), span, 0, False)] if _closes(ell, span, 0, False) else []
+    while todo:
+        steps, rest, height, after_up = todo.pop()
+        if rest == 0:
+            out.append(LatticePath(steps))
+            continue
+        if height and not after_up and _closes(ell, rest - 1, height - 1, False):
+            todo.append((steps + (("D",),), rest - 1, height - 1, False))
+        if _closes(ell, rest - 1, height + 1, True):
+            todo += [(steps + (("U", i),), rest - 1, height + 1, True)
+                     for i in range(d, 0, -1)]
+        if _closes(ell, rest - ell, height, False):
+            todo.append((steps + (("H", ell),), rest - ell, height, False))
     return out
 
 
@@ -391,23 +412,26 @@ def binary_tree_text(t: BinaryTree | None) -> str:
 
 
 def all_binary_trees(n: int, d: int) -> list[BinaryTree | None]:
-    """All binary trees with n vertices and right edges labeled in [1, d]."""
+    """All binary trees with n vertices and right edges labeled in [1, d].
+
+    Raises :class:`oracle.EnumerationCapExceeded` before any listing when
+    there are more than ``oracle.DEFAULT_CAP`` of them."""
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0 vertices")
-    if n == 0:
-        return [None]
-    out: list[BinaryTree | None] = []
-    for left_n in range(n):
-        right_n = n - 1 - left_n
-        rights = all_binary_trees(right_n, d) if right_n else [None]
-        for lt in all_binary_trees(left_n, d):
-            if right_n == 0:
-                out.append(BinaryTree(lt, None, None))
-            else:
-                for rt in rights:
-                    for lab in range(1, d + 1):
-                        out.append(BinaryTree(lt, lab, rt))
-    return out
+    _check_cap(d, 2, 2 * n, "trees")
+    sized: list[list[BinaryTree | None]] = [[None]]
+    for m in range(1, n + 1):
+        trees: list[BinaryTree | None] = []
+        for left_n in range(m):
+            right_n = m - 1 - left_n
+            for lt in sized[left_n]:
+                if right_n == 0:
+                    trees.append(BinaryTree(lt, None, None))
+                else:
+                    trees += [BinaryTree(lt, lab, rt) for rt in sized[right_n]
+                              for lab in range(1, d + 1)]
+        sized.append(trees)
+    return sized[n]
 
 
 # ---------------------------------------------------------------------------
@@ -464,21 +488,15 @@ def dyck_inverse(path, ell: int) -> Monomial:
 
 def all_dyck_paths(semilength: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
-    steps: list[int] = []
-
-    def go(ups_left: int, height: int) -> None:
+    # depth first, an up-step before a down-step
+    todo = [((), semilength, 0)]
+    while todo:
+        steps, ups_left, height = todo.pop()
         if ups_left == 0 and height == 0:
-            out.append(tuple(steps))
-            return
-        if ups_left > 0:
-            steps.append(1)
-            go(ups_left - 1, height + 1)
-            steps.pop()
+            out.append(steps)
+            continue
         if height > 0:
-            steps.append(-1)
-            go(ups_left, height - 1)
-            steps.pop()
-
-    go(semilength, 0)
-    del go  # break its self-reference, so no cycle holds out after the caller drops it
+            todo.append((steps + (-1,), ups_left, height - 1))
+        if ups_left > 0:
+            todo.append((steps + (1,), ups_left - 1, height + 1))
     return out

@@ -3,7 +3,8 @@
 Subcommands: count, sequence, table, enumerate, series, growth, paths,
 trees, verify, bfile.  Exit codes: 0 success, 1 verification mismatch,
 2 usage error (including an unreadable fixture file), 3 a cap exceeded:
-the oracle's enumeration cap or the work limit of ``counting``.
+the enumeration cap of the oracle, ``paths`` and ``trees``, or the work
+limit of ``counting`` for one count or a whole ``table``.
 
 Every call is a fresh process, so each subcommand imports the modules it
 calls itself, inside its function: ``count`` loads only ``counting`` and
@@ -14,6 +15,7 @@ that its certified enclosure fixes, and exits 2 when ``tol`` fixes none.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .monomial import Regime, encode_word, format_monomial, word_to_text
@@ -75,8 +77,19 @@ def cmd_table(args) -> int:
     from . import counting, oracle
 
     regime = Regime.from_code(args.regime)
-    if args.rmax < 1 or args.smax < 0:
-        raise ValueError("need --rmax >= 1 and --smax >= 0")
+    if args.d < 1 or args.rmax < 1 or args.smax < 0:
+        raise ValueError("need --d >= 1, --rmax >= 1 and --smax >= 0")
+    # the whole table's work, predicted before the first count.  The free
+    # closed form costs a term per cell.  Otherwise each cell is filled once:
+    # d layer terms, and r - 1 convolutions over its box at degree r, where
+    # sum_{|s| <= smax} prod(s_i + 1) = C(smax + 2d, 2d)
+    cells = args.rmax * math.comb(args.smax + args.d, args.d)
+    work = cells if regime is Regime.FREE else (
+        args.d * cells
+        + math.comb(args.rmax, 2) * math.comb(args.smax + 2 * args.d, 2 * args.d))
+    if work > counting.WORK_LIMIT:
+        raise counting.WorkLimitExceeded(f"the table would read {work} terms, "
+                                         f"above the cap {counting.WORK_LIMIT}")
     rows = []
     for r in range(1, args.rmax + 1):
         for k in range(args.smax + 1):
@@ -119,8 +132,7 @@ def cmd_series(args) -> int:
     else:  # euler
         ser = series.euler_series(regime, args.d, args.ell, args.order)
     for n in range(args.order + 1):
-        c = ser.coeff(n)
-        print(f"{n}\t{c.numerator if c.denominator == 1 else c}")
+        print(f"{n}\t{ser.coeff(n)}")
     return 0
 
 

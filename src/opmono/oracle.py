@@ -42,9 +42,9 @@ from .monomial import STAR, Monomial, Product, Regime, Unary, canonical_key, fac
 
 
 class EnumerationCapExceeded(counting.WorkLimitExceeded):
-    def __init__(self, predicted: int, cap: int):
+    def __init__(self, predicted: int, cap: int, what: str = "monomials"):
         super().__init__(
-            f"enumeration would produce {predicted} monomials, above the cap {cap}")
+            f"enumeration would produce {predicted} {what}, above the cap {cap}")
         self.predicted = predicted
         self.cap = cap
 

@@ -1,14 +1,14 @@
-"""Truncated one-variable formal power series with exact coefficients, plus
-solvers for the generating-function equations of the four regimes.
+"""Truncated one-variable formal power series with integer coefficients,
+plus solvers for the generating-function equations of the four regimes.
 
 The series route is independent of the counting recurrences; it shares
 only the unary layer, read from :func:`counting.layer_lengths`.  Everything
-runs on plain coefficient lists through a handful of shared kernels:
-truncated multiplication, the inverse of a series with unit constant term,
-the exponential from its log-derivative, and the square root.  On ``int``
-lists every division inside a kernel is asserted exact and raises
-:class:`SelfCheckError` otherwise; on ``Fraction`` lists (the public
-:class:`Series` arithmetic) the same kernels divide rationally.
+runs on plain integer coefficient lists through a handful of shared
+kernels: truncated multiplication, the inverse of a series with constant
+term +-1, the exponential from its log-derivative, and the square root.
+Every division inside a kernel is asserted exact and raises
+:class:`SelfCheckError` otherwise.  :class:`Series` only holds a solver's
+answer: an order and a tuple of ints, with no arithmetic of its own.
 
 * The noncommutative-product regimes (free, c) solve the quadratic
   Q(B) = w*B^2 + (w + z^ell - 1)*B + z^ell = 0 by precision-doubling Newton
@@ -20,11 +20,12 @@ lists every division inside a kernel is asserted exact and raises
   square root, followed by an asserted exact division by 2*d*z^2.
 * The commutative-product regimes (m, cm) solve the multiset construction
   1 + Y = exp(sum_{j>=1} Bbar(z^j)/j), Bbar = z^ell + w*Y, by the same
-  doubling.  The j >= 2 terms R only read Y at half the index, so each step
-  fixes R from the half-precision iterate (Otter, Polya) and takes one
-  Newton step on Y = exp(z^ell + w*Y + R) - 1.  The exponential is formed
-  from the integral log-derivative sum_n (sum_{k|n} k*bbar_k) z^n, so the
-  division by n in m*e_m = sum_k c_k*e_{m-k} is asserted exact.
+  doubling in :func:`euler_exp_log`, which takes the atom and the weight as
+  two integer lists.  The j >= 2 terms R only read Y at half the index, so
+  each step fixes R from the half-precision iterate (Otter, Polya) and
+  takes one Newton step on Y = exp(z^ell + w*Y + R) - 1.  The exponential
+  is formed from the integral log-derivative sum_n (sum_{k|n} k*bbar_k) z^n,
+  so the division by n in m*e_m = sum_k c_k*e_{m-k} is asserted exact.
 
 Every solver finishes by substituting its answer back into its equation at
 full order.
@@ -32,9 +33,7 @@ full order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
-from typing import Callable
 
 from .counting import SelfCheckError, layer_lengths
 from .monomial import Regime
@@ -44,14 +43,12 @@ from .monomial import Regime
 # List kernels.  A list holds the coefficients of z^0, z^1, ...; ``n`` is the
 # number of coefficients wanted (the order plus one).
 
-def _div(a, m: int, what: str):
-    """a / m, which must be exact when a is an int."""
-    if isinstance(a, int):
-        q, rem = divmod(a, m)
-        if rem:
-            raise SelfCheckError(f"{what}: {a} is not divisible by {m}")
-        return q
-    return a / m
+def _div(a: int, m: int, what: str) -> int:
+    """a / m, which must be exact."""
+    q, rem = divmod(a, m)
+    if rem:
+        raise SelfCheckError(f"{what}: {a} is not divisible by {m}")
+    return q
 
 
 def _add(*terms, n: int) -> list:
@@ -75,16 +72,10 @@ def _mul(a, b, n: int) -> list:
 
 
 def _inv(f, n: int) -> list:
-    """The first n coefficients of 1/f; f[0] must be a unit (+-1 for ints)."""
-    f0 = f[0]
-    if isinstance(f0, int):
-        if f0 not in (1, -1):
-            raise ValueError("an integer series is invertible only with constant term +-1")
-        g0 = f0
-    elif f0 == 0:
-        raise ValueError("series with zero constant term has no inverse")
-    else:
-        g0 = 1 / f0
+    """The first n coefficients of 1/f; f[0] must be +-1."""
+    g0 = f[0]
+    if g0 not in (1, -1):
+        raise ValueError("an integer series is invertible only with constant term +-1")
     g = [g0]
     for m in range(1, n):
         hi = min(m, len(f) - 1)
@@ -138,10 +129,11 @@ def _layer(regime: Regime, d: int, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The public wrapper.
+# The public holder.
 
 class Series:
-    """Power series truncated at ``order`` (inclusive); immutable."""
+    """Power series truncated at ``order`` (inclusive), with integer
+    coefficients; immutable."""
 
     __slots__ = ("order", "coeffs")
 
@@ -150,34 +142,20 @@ class Series:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("order must be >= 0")
-        cs = [Fraction(c) for c in coeffs[: order + 1]]
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+        cs = tuple(coeffs[: order + 1])
+        for n, c in enumerate(cs):
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient of z^{n} is not an integer: {c!r}")
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", cs + (0,) * (order + 1 - len(cs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
-    @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls((), order)
-
-    @classmethod
-    def term(cls, order: int, k: int, c=1) -> "Series":
-        """The single term c * z^k (zero if k exceeds the order)."""
-        return cls(_term(k, order + 1, c), order)
-
-    def coeff(self, n: int) -> Fraction:
+    def coeff(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
-
-    def valuation(self) -> int:
-        """Index of the first nonzero coefficient (order+1 for the zero series)."""
-        for n, c in enumerate(self.coeffs):
-            if c:
-                return n
-        return self.order + 1
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Series) and self.order == other.order
@@ -188,88 +166,6 @@ class Series:
 
     def __repr__(self) -> str:
         return f"Series({list(self.coeffs)!r})"
-
-    def _same_order(self, other: "Series") -> None:
-        if self.order != other.order:
-            raise ValueError("mixed truncation orders")
-
-    def __add__(self, other: "Series") -> "Series":
-        self._same_order(other)
-        return Series([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __sub__(self, other: "Series") -> "Series":
-        self._same_order(other)
-        return Series([a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __neg__(self) -> "Series":
-        return Series([-a for a in self.coeffs], self.order)
-
-    def scaled(self, c) -> "Series":
-        c = Fraction(c)
-        return Series([c * a for a in self.coeffs], self.order)
-
-    def __mul__(self, other):
-        if not isinstance(other, Series):
-            return self.scaled(other)
-        self._same_order(other)
-        return Series(_mul(self.coeffs, other.coeffs, self.order + 1), self.order)
-
-    __rmul__ = __mul__
-
-    def shifted(self, k: int) -> "Series":
-        """Multiply by z^k."""
-        return Series([0] * k + list(self.coeffs), self.order)
-
-    def substitute_power(self, k: int) -> "Series":
-        """Substitute z -> z^k (k >= 1)."""
-        if k < 1:
-            raise ValueError("substitution power must be >= 1")
-        out = [0] * (self.order + 1)
-        out[::k] = self.coeffs[: self.order // k + 1]
-        return Series(out, self.order)
-
-    def power(self, k: int) -> "Series":
-        if k < 0:
-            raise ValueError("negative power; use inverse() first")
-        out = Series.term(self.order, 0, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def inverse(self) -> "Series":
-        return Series(_inv(self.coeffs, self.order + 1), self.order)
-
-    def __truediv__(self, other: "Series") -> "Series":
-        return self * other.inverse()
-
-    def _log_derivative(self) -> list:
-        return [k * c for k, c in enumerate(self.coeffs)]
-
-    def exp(self) -> "Series":
-        """exp of a series with zero constant term."""
-        if self.coeffs[0] != 0:
-            raise ValueError("exp requires zero constant term")
-        return Series(_exp(self._log_derivative(), self.order + 1), self.order)
-
-    def log(self) -> "Series":
-        """log of a series with constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log requires constant term 1")
-        n = self.order + 1
-        q = _mul(self._log_derivative(), _inv(self.coeffs, n), n)
-        return Series([0] + [_div(q[m], m, "log") for m in range(1, n)], self.order)
-
-    def integer_coeffs(self) -> list[int]:
-        out = []
-        for n, c in enumerate(self.coeffs):
-            if c.denominator != 1:
-                raise SelfCheckError(f"coefficient of z^{n} is not an integer: {c}")
-            out.append(c.numerator)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -366,37 +262,30 @@ def _multiset_newton(atom: list, w: list, n: int) -> list:
     return y
 
 
-def euler_exp_log(atom_series: Callable[[Series], Series], ell: int,
-                  order: int) -> Series:
+def euler_exp_log(atom, weight, ell: int, order: int) -> Series:
     """Solution B of the multiset construction
-    1 + B = exp(sum_{j>=1} Bbar(z^j)/j), with Bbar = atom_series(B).
+    1 + B = exp(sum_{j>=1} Bbar(z^j)/j), with Bbar = atom + weight*B.
 
-    ``atom_series`` must be affine in B, Bbar = P + W*B with P and W
-    integral and of zero constant term, as the atom series of a monomial
-    (the indeterminate, or one unary layer over a monomial) is.  P and W are
-    read off at B = 0 and B = 1, and affinity is checked at the solution."""
+    ``atom`` and ``weight`` are integer coefficient lists, each with zero
+    constant term: the atom series of a monomial is the indeterminate z^ell
+    (``atom``) plus one unary layer over a monomial (``weight`` times B)."""
     _check_args(ell, order)
-    zero, one = Series.zero(order), Series.term(order, 0)
-    p_ser = atom_series(zero)
-    w_ser = atom_series(one) - p_ser
-    if p_ser.valuation() < 1 or w_ser.valuation() < 1:
-        raise ValueError("atom series must have zero constant term")
-    b = Series(_multiset_newton(p_ser.integer_coeffs(), w_ser.integer_coeffs(),
-                                order + 1), order)
-    if atom_series(b) != p_ser + w_ser * b:
-        raise ValueError("atom series must be affine in B")
-    return b
+    if not all(isinstance(c, int) for c in (*atom, *weight)):
+        raise ValueError("atom and weight must be lists of integers")
+    if any(atom[:1]) or any(weight[:1]):
+        raise ValueError("atom and weight must have zero constant term")
+    return Series(_multiset_newton(atom, weight, order + 1), order)
 
 
 def euler_series(regime: Regime, d: int, ell: int, order: int) -> Series:
     """Length-graded series for the commutative-product regimes via the
-    exp-log construction."""
+    exp-log construction, with the atom z^ell and one layer as the weight."""
     if not regime.mult_commute:
         raise ValueError("the exp-log construction applies to the "
                          "commutative-product regimes only")
     _check_args(ell, order, d)
     n = order + 1
-    return Series(_multiset_newton(_term(ell, n), _layer(regime, d, n), n), order)
+    return euler_exp_log(_term(ell, n), _layer(regime, d, n), ell, order)
 
 
 def series_for(regime: Regime, d: int, ell: int, order: int) -> Series:

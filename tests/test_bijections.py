@@ -5,6 +5,7 @@ import pytest
 from opmono import (
     STAR,
     BinaryTree,
+    EnumerationCapExceeded,
     LatticePath,
     Regime,
     all_binary_trees,
@@ -233,6 +234,17 @@ class TestPaths:
 
     def test_generator_leaves_no_cyclic_garbage(self):
         assert cyclic_garbage(all_lattice_paths, 2, 1, 8) == 0
+
+    def test_deep_paths_need_no_recursion(self):
+        # H H, and 550 up-steps over one H: 1101 steps deep
+        paths = all_lattice_paths(1, 1100, 2200)
+        assert [p.to_text() for p in paths] == ["H H", " ".join(["U1"] * 550 + ["H"] + ["D"] * 550)]
+
+    def test_over_the_cap_refused_before_listing(self):
+        with pytest.raises(EnumerationCapExceeded, match="paths or more"):
+            all_lattice_paths(1, 1, 1100)
+        with pytest.raises(EnumerationCapExceeded, match="trees or more"):
+            all_binary_trees(1100, 1)
 
     def test_model_side_count_small_schroeder(self):
         # unfiltered two-label peakless paths of span 2n, ell=2

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -176,6 +177,30 @@ class TestModels:
         code, out, _ = run(capsys, "trees", "--d", "1", "--vertices", "2")
         assert out.splitlines() == ["((. - .) - .)", "(. 1 (. - .))"]
 
+    @pytest.mark.parametrize("argv", [
+        ["paths", "--d", "1", "--ell", "1", "--span", "1100", "--count-only"],
+        ["trees", "--d", "1", "--vertices", "1100", "--count-only"],
+        ["paths", "--d", "3", "--ell", "1", "--span", "1000000000", "--count-only"],
+    ], ids=["paths", "trees", "paths-huge-span"])
+    def test_over_the_cap_exits_3_at_once(self, capsys, argv):
+        # the count is predicted before any listing, so no RecursionError
+        # and no wait
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "above the cap 10000000" in err
+
+    def test_prefixes_that_cannot_close_are_not_searched(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "paths", "--d", "2", "--ell", "50", "--span", "49",
+                           "--count-only")
+        assert code == 0 and out == "0\n"
+        code, out, _ = run(capsys, "paths", "--d", "2", "--ell", "2", "--span", "41",
+                           "--count-only")
+        assert code == 0 and out == "0\n"
+        assert time.perf_counter() - start < 1.0
+
 
 class TestVerifyAndBfile:
     def test_bundled_fixtures_pass(self, capsys):
@@ -252,6 +277,15 @@ class TestTable:
                              "--rmax", "1", "--smax", "0")
         assert code == 0 and err == ""
         assert out.splitlines() == ["r\ts\tvalue", "1\t" + ";".join(["0"] * 1200) + "\t1"]
+
+    def test_oversized_table_exits_3_before_any_count(self, capsys):
+        # 2*4*C(29, 4) + C(33, 8) = 14,074,164 predicted terms
+        start = time.perf_counter()
+        code, out, err = run(capsys, "table", "--regime", "c", "--d", "4",
+                             "--rmax", "2", "--smax", "25")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err == "error: the table would read 14074164 terms, above the cap 10000000\n"
 
     def test_no_labels(self, capsys):
         code, out, err = run(capsys, "table", "--regime", "c", "--d", "0",
@@ -390,6 +424,17 @@ class TestFreshProcess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "12", "0", "opmono opmono.cli opmono.counting opmono.monomial", ""]
+
+    def test_series_loads_no_fractions(self):
+        argv = ["series", "--regime", "m", "--d", "1", "--ell", "2", "--order", "4"]
+        proc = self.python("-c", "import opmono.series\n" + self.SHOW_MODULES
+                           + f"from opmono.cli import main\nprint(main({argv!r}))\n"
+                           + self.SHOW_MODULES)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "opmono opmono.counting opmono.monomial opmono.series", "",
+            "0\t0", "1\t0", "2\t1", "3\t0", "4\t2", "0",
+            "opmono opmono.cli opmono.counting opmono.monomial opmono.series", ""]
 
     def test_count_over_the_work_limit_exits_3_at_once(self):
         # the cap is predicted before any work and mapped to exit 3 without
