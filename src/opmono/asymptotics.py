@@ -36,6 +36,56 @@ class GrowthResult:
     tol: float | None = None          # exact-root only; |rho - rho*| < tol/2
 
 
+class _Bounds:
+    """[lo, hi] * 2^-_FIX_BITS with integer ends, rounded outward: the
+    arithmetic F(t) = (1 - t^ell)^2 - layer_weight(t^2) needs, on bounds."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int) -> None:
+        self.lo, self.hi = lo, hi
+
+    def __rsub__(self, n: int) -> _Bounds:
+        return _Bounds((n << _FIX_BITS) - self.hi, (n << _FIX_BITS) - self.lo)
+
+    def __sub__(self, other: _Bounds) -> _Bounds:
+        return _Bounds(self.lo - other.hi, self.hi - other.lo)
+
+    def __mul__(self, other: _Bounds | int) -> _Bounds:
+        if isinstance(other, int):
+            other = _Bounds(other << _FIX_BITS, other << _FIX_BITS)
+        ends = [x * y for x in (self.lo, self.hi) for y in (other.lo, other.hi)]
+        return _Bounds(min(ends) >> _FIX_BITS, -(-max(ends) >> _FIX_BITS))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> _Bounds:
+        out, base = _Bounds(1 << _FIX_BITS, 1 << _FIX_BITS), self
+        while n:
+            if n & 1:
+                out = out * base
+            base, n = base * base, n >> 1
+        return out
+
+
+# a bisection midpoint is dyadic with at most about _PREC_BITS + 2 bits, so
+# it is exact here; the bounds' width grows about as d ulps, far below |F(t)|
+# at all but a few midpoints
+_FIX_BITS = 2 * _PREC_BITS + 64
+
+
+def _sign(commuting: bool, d: int, ell: int, t: Fraction) -> int:
+    # the sign of F(t), from the bounds when they exclude 0 (for large d the
+    # exact power (1 - t^4)^d is huge), from exact Fractions otherwise
+    n = t.numerator << (_FIX_BITS + 1 - t.denominator.bit_length())
+    x = _Bounds(n, n)
+    f = (1 - x ** ell) ** 2 - layer_weight(commuting, d, x * x)
+    if f.lo > 0 or f.hi < 0:
+        return 1 if f.lo > 0 else -1
+    f = (1 - t ** ell) ** 2 - layer_weight(commuting, d, t * t)
+    return (f > 0) - (f < 0)
+
+
 def _exact_root(regime: Regime, d: int, ell: int, tol: float) -> GrowthResult:
     if d < 1 or ell < 1 or not 0 < tol < math.inf:  # also rejects nan
         raise ValueError("need d >= 1, ell >= 1 and a finite tol > 0")
@@ -45,10 +95,10 @@ def _exact_root(regime: Regime, d: int, ell: int, tol: float) -> GrowthResult:
     lo, hi = Fraction(0), Fraction(1)  # F(lo) > 0 > F(hi); rho* in [lo^2, hi^2]
     while hi * hi - lo * lo >= tol:
         mid = (lo + hi) / 2
-        f = (1 - mid ** ell) ** 2 - layer_weight(commuting, d, mid * mid)
-        if f > 0:
+        sign = _sign(commuting, d, ell, mid)
+        if sign > 0:
             lo = mid
-        elif f < 0:
+        elif sign < 0:
             hi = mid
         else:
             lo = hi = mid

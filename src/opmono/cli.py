@@ -79,13 +79,15 @@ def cmd_table(args) -> int:
     regime = Regime.from_code(args.regime)
     if args.d < 1 or args.rmax < 1 or args.smax < 0:
         raise ValueError("need --d >= 1, --rmax >= 1 and --smax >= 0")
-    # the whole table's work, predicted before the first count.  The free
-    # closed form costs a term per cell.  Otherwise each cell is filled once:
-    # d layer terms, and r - 1 convolutions over its box at degree r, where
+    # the whole table's work, predicted before the first count in the terms
+    # of counting.WORK_LIMIT.  Measured against them (2 cores, Python 3.11),
+    # a free cell and its row cost about 20 terms.  Any other cell is filled
+    # once: about 50 terms a fill and its row, d layer terms, and r - 1
+    # convolutions over its box at degree r, where
     # sum_{|s| <= smax} prod(s_i + 1) = C(smax + 2d, 2d)
     cells = args.rmax * math.comb(args.smax + args.d, args.d)
-    work = cells if regime is Regime.FREE else (
-        args.d * cells
+    work = 20 * cells if regime is Regime.FREE else (
+        (50 + args.d) * cells
         + math.comb(args.rmax, 2) * math.comb(args.smax + 2 * args.d, 2 * args.d))
     if work > counting.WORK_LIMIT:
         raise counting.WorkLimitExceeded(f"the table would read {work} terms, "

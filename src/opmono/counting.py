@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate, combinations, product as cartesian
-from operator import floordiv, mul, sub
+from operator import floordiv, itemgetter, mul, sub
 
 from .monomial import Regime
 
@@ -57,11 +57,8 @@ def check_symmetry_a1(order: int) -> bool:
     r-1 slots.  Checked over all total orders r + k <= order."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    for r in range(1, order + 1):
-        for k in range(0, order - r + 1):
-            if narayana(r + k, k) != narayana(r + k, r - 1):
-                return False
-    return True
+    return all(narayana(r + k, k) == narayana(r + k, r - 1)
+               for r in range(1, order + 1) for k in range(order - r + 1))
 
 
 def multinomial(s) -> int:
@@ -88,10 +85,6 @@ def _check_args(d: int, r: int, s) -> tuple[int, ...]:
 
 def _box(s):
     return cartesian(*(range(si + 1) for si in s))
-
-
-def _sub(s, t) -> tuple[int, ...]:
-    return tuple(si - ti for si, ti in zip(s, t))
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +130,10 @@ def layer_weight(commuting: bool, d: int, z):
 # a multiset gives the Euler transform, r*a_r = sum_j c_j*a_{r-j} with
 # c_r = sum_{j | gcd(r, s)} (r/j)*abar(r/j, s/j).  Here a is the coefficient
 # of 1 + B (a_0 = [s = 0]); ``multiset`` is Regime.mult_commute and d = len(s).
-# A cell reads only cells of its lower box, and a stored cell implies its whole
-# lower box.  So when (r - 1, s) and every (r, s - e_k) are stored, (r, s) is
-# the only missing cell of its box, and it is filled alone after d + 1 lookups.
+# Cells are kept in lists by an id per s, so a convolution over the box of s
+# is one gather per operand.  A stored cell implies its whole lower box, so
+# when (r - 1, s) and every (r, s - e_k) are stored, (r, s) is the only
+# missing cell of its box, and it is filled alone after d + 1 lookups.
 
 @lru_cache(maxsize=None)
 def _divisors(n: int) -> tuple[int, ...]:
@@ -179,90 +173,102 @@ def _check_work(r: int, s: tuple[int, ...], work: int) -> None:
 
 @lru_cache(maxsize=None)
 def _cells(commuting: bool, multiset: bool, d: int) -> list:
-    # one family's store, grown in place: entry r >= 1 holds dicts keyed by s
-    # of a, the atoms, c (the atoms themselves for a sequence) and, for
-    # commuting labels, (D_0, ..., D_{d-1}).  A cell enters a last, once
-    # every cell below it is stored, so a stored cell implies its whole lower
-    # box.  Entry 0 holds the shape of each s that a single-cell fill met: its
-    # s - e_k, and its box in order once a degree r > 1 needed it.  They name
-    # each vector by one tuple, kept in the third dict, which also keys the
-    # cells these fills store; so a cached box costs a pointer per entry, at
-    # most 8 bytes per term its first fill reads.
-    return [({}, {}, {})]
+    # one family's store, grown in place.  Entry 0 holds the ids, given to
+    # each s on first sight, and by id the ids of s - e_k and the gather of
+    # the box of s, built at its first fill at a degree r > 1.  Id 0 names
+    # every s with a negative entry, whose cells hold 0.  Entry r >= 1 holds
+    # lists by id of a, the atoms, c (the atoms for a sequence) and, for
+    # commuting labels, (D_0, ..., D_{d-1}); None is a cell not stored, and
+    # all lists double together.  A cell enters a last, once every cell
+    # below it is stored, so a stored cell implies its whole lower box.
+    return [({}, [()], [None])]
+
+
+def _new_id(levels: list, s: tuple[int, ...], preds: list) -> int:
+    ids, preds_of, _ = levels[0]
+    i = ids[s] = len(ids) + 1
+    if i == len(preds_of):
+        for x in {id(x): x for level in levels for x in level if type(x) is list}.values():
+            x += [None] * i
+    preds_of[i] = preds
+    return i
 
 
 def _fill(levels: list, commuting: bool, multiset: bool, r: int, s: tuple[int, ...],
-          preds: list, box: list) -> None:
+          i: int) -> None:
     a_r, atoms_r, c_r, diff_r = levels[r]
-    if commuting:
-        terms = [diff_r[p][k] if p else 0 for k, p in enumerate(preds)]
-    else:
-        terms = [a_r[p] if p else 0 for p in preds]
-    abar = (1 if r == 1 and not any(s) else 0) + sum(terms)
-    c = abar
+    ids, preds, gets = levels[0]
+    terms = ([diff_r[p][k] for k, p in enumerate(preds[i])] if commuting
+             else map(a_r.__getitem__, preds[i]))
+    c = abar = (1 if r == 1 and not any(s) else 0) + sum(terms)
     if multiset:
-        c = r * abar + sum((r // j) * levels[r // j][1][tuple(si // j for si in s)]
-                           for j in _divisors(math.gcd(r, *s))[1:])
-    # the term j = r meets a_0 = [s = 0], so it is c alone; the box of s read
-    # backwards lists s - alpha for each alpha in order
-    total, rbox = c, box[::-1]
-    for j in range(1, r):
-        total += sum(map(mul, map(levels[j][2].__getitem__, box),
-                         map(levels[r - j][0].__getitem__, rbox)))
+        c = r * abar
+        for j in _divisors(math.gcd(r, *s))[1:]:
+            c += (r // j) * levels[r // j][1][ids[tuple(si // j for si in s)]]
+    # the term j = r meets a_0 = [s = 0], so it is c alone; the box of s
+    # read backwards lists s - alpha for each alpha in order
+    total = c
+    if r > 1:
+        get = gets[i]
+        if get is None:  # itemgetter(i) returns no tuple, so one cell is a slice
+            box = list(map(ids.__getitem__, _box(s)))
+            gets[i] = get = itemgetter(*box) if box[1:] else itemgetter(slice(i, i + 1))
+        for j in range(1, r):
+            total += sum(map(mul, get(levels[j][2]), reversed(get(levels[r - j][0]))))
     if multiset:
         total, rem = divmod(total, r)
         if rem:
             raise SelfCheckError(
                 f"multiset recurrence not divisible by r={r} at s={s} (d={len(s)})")
-        c_r[s] = c
-    atoms_r[s] = abar
+        c_r[i] = c
+    atoms_r[i] = abar
     if commuting:
-        diff_r[s] = tuple(accumulate(terms[:-1], sub, initial=total))
-    a_r[s] = total
+        diff_r[i] = tuple(accumulate(terms[:-1], sub, initial=total))
+    a_r[i] = total
 
 
 def _count(commuting: bool, multiset: bool, r: int, s: tuple[int, ...]) -> int:
-    # a stored cell is read at once and a cell whose predecessors are stored
-    # is filled alone; otherwise the missing cells of the box (r, s) are
+    # a stored cell is read at once, a cell whose predecessors are stored is
+    # filled alone, and otherwise the missing cells of the box (r, s) are
     # filled in order, s' in box order and r' ascending
     levels = _cells(commuting, multiset, len(s))
+    ids, preds_of, _ = levels[0]
+    i = ids.get(s)
     if r < len(levels):
         a_r = levels[r][0]
-        if s in a_r:
-            return a_r[s]
-        shapes, boxes, canon = levels[0]
-        preds = shapes.get(s)
-        # s - e_k, None where s_k = 0; the s_k >= 1 give distinct cells, so
-        # building them costs no more than what level r already stores
-        if preds is None and len(a_r) >= len(s) - s.count(0):
-            preds = [s[:k] + (sk - 1,) + s[k + 1:] if sk else None for k, sk in enumerate(s)]
-        if (preds is not None and (r == 1 or s in levels[r - 1][0])
-                and all(map(a_r.__contains__, filter(None, preds)))):
-            s = canon.setdefault(s, s)
-            if s not in shapes:
-                shapes[s] = preds = [p and canon.setdefault(p, p) for p in preds]
-            if r > 1 and s not in boxes:  # degree 1 convolves nothing
-                boxes[s] = [canon.setdefault(t, t) for t in _box(s)]
-            box = boxes[s] if r > 1 else ()
-            _check_work(r, s, len(s) + (r - 1) * len(box))
-            _fill(levels, commuting, multiset, r, s, preds, box)
-            return a_r[s]
+        if i is None:  # a new s; above degree 1 its (r - 1, s) is not stored
+            preds = r == 1 and [ids.get(s[:k] + (sk - 1,) + s[k + 1:]) if sk else 0
+                                for k, sk in enumerate(s)]
+        elif a_r[i] is not None:
+            return a_r[i]
+        else:
+            preds = (r == 1 or levels[r - 1][0][i] is not None) and preds_of[i]
+        if preds and None not in preds and None not in map(a_r.__getitem__, preds):
+            _check_work(r, s, len(s) + (r - 1) * math.prod([sk + 1 for sk in s]) if r > 1
+                        else len(s))
+            i = _new_id(levels, s, preds) if i is None else i
+            _fill(levels, commuting, multiset, r, s, i)
+            return a_r[i]
     _check_work(r, s, _box_work(r, s))
-    while len(levels) <= r:  # at degree 1, a = atoms = c: one dict holds all three
-        a = {}
-        atoms = a if len(levels) == 1 else {}
-        levels.append((a, atoms, {} if multiset and len(levels) > 1 else atoms, {}))
+    while len(levels) <= r:  # at degree 1, a = atoms = c: one list holds all three
+        blank = [None] * (len(preds_of) - 1)
+        a = [0, *blank]
+        atoms = a if len(levels) == 1 else [0, *blank]
+        levels.append((a, atoms, [0, *blank] if multiset and len(levels) > 1 else atoms,
+                       [(0,) * len(s), *blank] if commuting else None))
     # in the box of s, s2 - e_k sits prod(s_j + 1 for j > k) places before s2
     cells = list(_box(s))
     strides = [*accumulate([si + 1 for si in s], floordiv, initial=len(cells))][1:]
-    for i, s2 in enumerate(cells):
-        if s2 not in levels[r][0]:
-            preds = [cells[i - st] if sk else None for sk, st in zip(s2, strides)]
-            box = list(_box(s2)) if r > 1 else ()
-            for r2 in range(1, r + 1):
-                if s2 not in levels[r2][0]:
-                    _fill(levels, commuting, multiset, r2, s2, preds, box)
-    return levels[r][0][s]
+    box = []
+    for n, s2 in enumerate(cells):
+        i = ids.get(s2)
+        if i is None:
+            i = _new_id(levels, s2, [box[n - st] if sk else 0 for sk, st in zip(s2, strides)])
+        box.append(i)
+        for r2 in range(1, r + 1):
+            if levels[r2][0][i] is None:
+                _fill(levels, commuting, multiset, r2, s2, i)
+    return levels[r][0][i]
 
 
 def _free_bits(r: int, s: tuple[int, ...]) -> float:
@@ -337,16 +343,13 @@ class LengthSequence:
     values: tuple[int, ...]
 
     def __init__(self, regime: Regime, d: int, ell: int, values: tuple[int, ...]) -> None:
-        object.__setattr__(self, "regime", regime)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "values", values)
+        for name, value in zip(self.__slots__, (regime, d, ell, values)):
+            object.__setattr__(self, name, value)
 
-    def __setattr__(self, name: str, value: object) -> None:
+    def __setattr__(self, *args) -> None:
         raise AttributeError("LengthSequence is immutable")
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("LengthSequence is immutable")
+    __delattr__ = __setattr__
 
     def _fields(self) -> tuple:
         return self.regime, self.d, self.ell, self.values
@@ -420,14 +423,10 @@ def _length_values(layer: dict[int, int], ell: int, n_max: int, multiset: bool,
     # Both rules commute with z -> z^2, so a caller may pass the layer, ell
     # and n_max all halved and read the result at t = z^2.
     b = list(prefix) + [0] * (n_max + 1 - len(prefix))
-    bbar = [0] * (n_max + 1)
-    c = [0] * (n_max + 1)
+    bbar, c = [0] * (n_max + 1), [0] * (n_max + 1)
     for n in range(1, n_max + 1):
-        v = 1 if n == ell else 0
-        for shift, coeff in layer.items():
-            if shift < n:
-                v += coeff * b[n - shift]
-        bbar[n] = v
+        bbar[n] = (1 if n == ell else 0) + sum(coeff * b[n - shift]
+                                               for shift, coeff in layer.items() if shift < n)
         if multiset:
             c[n] = sum(k * bbar[k] for k in _divisors(n))
         if n < len(prefix):

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from operator import sub
 
 from . import counting
-from .counting import _box, _sub
+from .counting import _box
 from .monomial import STAR, Monomial, Product, Regime, Unary, canonical_key, factors
 
 
@@ -79,7 +80,7 @@ def _fill(store: dict, regime: Regime, r: int, s: tuple[int, ...]) -> None:
     else:
         tails = {}
         for r1, s1, group in types:
-            rest = sorted(map(factors, store[r - r1, _sub(s, s1)][0]),
+            rest = sorted(map(factors, store[r - r1, tuple(map(sub, s, s1))][0]),
                           key=lambda fs: [rank[id(f)] for f in fs])
             tails.update((id(a), rest) for a in group)
         products = [Product((a,) + fs) for a in heads for fs in tails[id(a)]]
@@ -96,13 +97,13 @@ def _pick(groups, j: int, r: int, s: tuple[int, ...]) -> list[tuple[int, ...]]:
         r1, s1, ranks = groups[i]
         if r1 > r:
             break  # the groups come by ascending degree
-        k, rk, sk = 1, r - r1, _sub(s, s1)
+        k, rk, sk = 1, r - r1, tuple(map(sub, s, s1))
         while rk >= 0 and min(sk) >= 0:
             rests = _pick(groups, i + 1, rk, sk)
             if rests:
                 out += [c + rest for c in combinations_with_replacement(ranks, k)
                         for rest in rests]
-            k, rk, sk = k + 1, rk - r1, _sub(sk, s1)
+            k, rk, sk = k + 1, rk - r1, tuple(map(sub, sk, s1))
     return out
 
 

@@ -1,10 +1,12 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from opmono import (
     Regime,
+    counting,
     growth,
     growth_comm_unary,
     growth_estimate,
@@ -153,3 +155,35 @@ def test_comm_unary_matches_an_independent_root(d, ell):
         f = lambda z: mpmath.sqrt(1 - (1 - z * z) ** d) + mpmath.sqrt(z) ** ell - 1
         root = mpmath.findroot(f, mpmath.mpf(float(res.rho)))
         assert abs(mpmath.mpf(res.rho.numerator) / res.rho.denominator - root) < 1e-40
+
+
+def exact_bisection(commuting, d, ell, tol):
+    # the bisection on the exact sign of F(t) over Fractions alone
+    lo, hi = Fraction(0), Fraction(1)
+    while hi * hi - lo * lo >= tol:
+        mid = (lo + hi) / 2
+        f = (1 - mid ** ell) ** 2 - counting.layer_weight(commuting, d, mid * mid)
+        lo, hi = (mid, hi) if f > 0 else (lo, mid) if f < 0 else (mid, mid)
+    return (lo * lo + hi * hi) / 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 1000])
+def test_bounded_signs_give_the_exact_bisection(d):
+    # signs decided from fixed-point bounds leave every bracket, and so rho
+    # and g, as the exact signs do.  Free d=4, ell=1 has F(1/2) = 0 at the
+    # first midpoint, where the bounds cannot decide and the exact sign does
+    for fn, commuting in ((growth_free, False), (growth_comm_unary, True)):
+        for ell in (1, 2, 3):
+            for tol in (1e-12, 2.0 ** -150) if d < 5 else (1e-12,):
+                res = fn(d, ell, tol=tol)
+                rho = exact_bisection(commuting, d, ell, tol)
+                assert (res.rho, res.g) == (rho, 1 / rho)
+
+
+def test_large_d_root_is_fast():
+    # the exact power (1 - t^4)^d has about 4*d*log2(1/tol) bits: d = 30000
+    # took about 9 s by exact signs alone
+    start = time.perf_counter()
+    res = growth(Regime.COMM_UNARY, 30000, 2)
+    assert time.perf_counter() - start < 0.5
+    assert abs(float(res.g) - 88.86028062439203) < 1e-9

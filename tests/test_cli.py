@@ -279,13 +279,13 @@ class TestTable:
         assert out.splitlines() == ["r\ts\tvalue", "1\t" + ";".join(["0"] * 1200) + "\t1"]
 
     def test_oversized_table_exits_3_before_any_count(self, capsys):
-        # 2*4*C(29, 4) + C(33, 8) = 14,074,164 predicted terms
+        # (50 + 4)*2*C(29, 4) + C(33, 8) = 16,449,264 predicted terms
         start = time.perf_counter()
         code, out, err = run(capsys, "table", "--regime", "c", "--d", "4",
                              "--rmax", "2", "--smax", "25")
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
-        assert err == "error: the table would read 14074164 terms, above the cap 10000000\n"
+        assert err == "error: the table would read 16449264 terms, above the cap 10000000\n"
 
     def test_no_labels(self, capsys):
         code, out, err = run(capsys, "table", "--regime", "c", "--d", "0",
@@ -458,6 +458,16 @@ class TestFreshProcess:
         assert proc.stderr.startswith("error: the free count at r=1")
         proc = self.python("-m", "opmono.cli", *argv)
         assert proc.returncode == 3 and proc.stdout == ""
+
+    def test_oversized_free_table_exits_3_at_once(self):
+        # 20*2*C(64, 4) = 25,415,040 predicted terms for 1,270,752 free cells
+        argv = ["table", "--regime", "free", "--d", "4", "--rmax", "2", "--smax", "60"]
+        proc = self.python("-c", "import time\nfrom opmono.cli import main\n"
+                           f"t = time.perf_counter()\nrc = main({argv!r})\n"
+                           "print(rc, time.perf_counter() - t < 0.2)\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "3 True\n"
+        assert proc.stderr == "error: the table would read 25415040 terms, above the cap 10000000\n"
 
     def test_count_of_more_than_4300_digits_prints(self):
         argv = ["count", "--regime", "free", "--d", "2", "--r", "1", "--s", "8000,8000"]

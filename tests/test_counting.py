@@ -382,6 +382,15 @@ class TestUnaryLayer:
 COUNT_SHA256 = "dc3c5e82c8fc3dc3b34750f3a4b6e81cb5bbfcbd6aab8589fa32881b7670f1e9"
 
 
+def stored(commuting, multiset, d, field=0):
+    """The family's stored cells by degree r >= 1, as dicts keyed by s: a
+    (field 0) or the atoms (field 1), read from the lists by id."""
+    levels = counting._cells(commuting, multiset, d)
+    ids = levels[0][0]
+    return [{s: level[field][i] for s, i in ids.items() if level[0][i] is not None}
+            for level in levels[1:]]
+
+
 class TestCellStore:
     """One store of cells per family, shared across s, with the layer applied
     one label at a time."""
@@ -413,7 +422,8 @@ class TestCellStore:
                 below = tuple(si - ei for si, ei in zip(s, e))
                 want += sign * counting._count(commuting, multiset, r, below)
         counting._count(commuting, multiset, r, s)
-        assert counting._cells(commuting, multiset, d)[r][1][s] == want  # the atoms
+        levels = counting._cells(commuting, multiset, d)
+        assert levels[r][1][levels[0][0][s]] == want  # the atoms, by the id of s
 
     @pytest.mark.parametrize("regime", [Regime.COMM_UNARY, Regime.COMM_BOTH],
                              ids=["c", "cm"])
@@ -435,10 +445,13 @@ class TestCellStore:
             cold.append(count(Regime.COMM_MULT, 2, r, s))
         counting._cells.cache_clear()
         count(Regime.COMM_MULT, 2, 4, (3, 2))
-        # every cell of that box is now stored, so none of these does work
+        # every cell of that box is now stored, one id per s, so none of
+        # these does work or names a new vector
+        ids = counting._cells(False, True, 2)[0][0]
+        assert sorted(ids) == list(counting._box((3, 2)))
         monkeypatch.setattr(counting, "WORK_LIMIT", 0)
         assert [count(Regime.COMM_MULT, 2, r, s) for r, s in cells] == cold
-        assert counting._cells.cache_info().currsize == 1
+        assert counting._cells.cache_info().currsize == 1 and len(ids) == 12
         with pytest.raises(counting.WorkLimitExceeded):
             count(Regime.COMM_MULT, 2, 5, (3, 2))
 
@@ -448,7 +461,8 @@ class TestCellStore:
         monkeypatch.setattr(counting, "WORK_LIMIT", counting._box_work(r, s) - 1)
         with pytest.raises(counting.WorkLimitExceeded, match="above the cap"):
             count(Regime.COMM_UNARY, 2, r, s)
-        assert not any(level[0] for level in counting._cells(True, False, 2)[1:])  # no cell
+        levels = counting._cells(True, False, 2)
+        assert len(levels) == 1 and not levels[0][0]  # no level and no id
         # a cold fill at the limit reads d layer terms per cell and exactly
         # the predicted convolution products
         fills, products = [], []
@@ -469,6 +483,7 @@ class TestCellStore:
         counting._cells.cache_clear()
         for below in ((5, (2, 3)), (6, (1, 3)), (6, (2, 2))):
             count(Regime.COMM_UNARY, 2, *below)
+        ids = dict(counting._cells(True, False, 2)[0][0])
         monkeypatch.setattr(counting, "WORK_LIMIT", work - 1)
         with pytest.raises(counting.WorkLimitExceeded, match=f"read {work} terms"):
             count(Regime.COMM_UNARY, 2, r, s)
@@ -479,6 +494,7 @@ class TestCellStore:
         monkeypatch.setattr(counting, "WORK_LIMIT", work)
         assert count(Regime.COMM_UNARY, 2, r, s) == cold
         assert 2 * len(fills) + len(products) == work and len(fills) == 1
+        assert counting._cells(True, False, 2)[0][0] == ids  # no vector is new
 
     @pytest.mark.parametrize("regime", [Regime.COMM_UNARY, Regime.COMM_MULT,
                                         Regime.COMM_BOTH], ids=["c", "m", "cm"])
@@ -488,17 +504,13 @@ class TestCellStore:
         for below in ((3, (2, 1)), (4, (1, 1)), (4, (2, 0))):
             count(regime, 2, *below)
         levels = counting._cells(regime.unary_commute, regime.mult_commute, 2)
-        stored = [len(level[0]) for level in levels[1:]]
-        probes = []
+        before = [len(level) for level in stored(regime.unary_commute, regime.mult_commute, 2)]
+        ids, probes = levels[0][0], []
 
-        class Probed(dict):  # records every key looked up at degree r
-            def __contains__(self, key):
-                probes.append(key)
-                return super().__contains__(key)
-
-            def __getitem__(self, key):
-                probes.append(key)
-                return super().__getitem__(key)
+        class Probed(list):  # records every id read at degree r
+            def __getitem__(self, i):
+                probes.append(i)
+                return super().__getitem__(i)
 
         levels[r] = (Probed(levels[r][0]), *levels[r][1:])
         fills, boxes = [], []
@@ -507,10 +519,12 @@ class TestCellStore:
                             lambda *args: fills.append(args[3:5]) or fill(*args))
         monkeypatch.setattr(counting, "_box", lambda s2: boxes.append(s2) or box(s2))
         want = count(regime, 2, r, s)
-        assert fills == [(r, s)] and boxes == [s]  # only its own shape is built
-        assert set(probes) <= {s, (1, 1), (2, 0)}  # itself and s - e_k
-        stored[r - 1] += 1
-        assert [len(level[0]) for level in levels[1:]] == stored
+        # the gather of the box of s, built when (2, s) was filled, is reused
+        assert fills == [(r, s)] and boxes == []
+        assert set(probes) <= {ids[s], ids[1, 1], ids[2, 0]}  # itself and s - e_k
+        before[r - 1] += 1
+        assert [len(level) for level in stored(regime.unary_commute, regime.mult_commute,
+                                               2)] == before
         counting._cells.cache_clear()
         assert want == count(regime, 2, r, s)
 
@@ -530,12 +544,39 @@ class TestCellStore:
                 counting._cells.cache_clear()
             assert counting._count(commuting, multiset, r, s) == cold[r, s]
         # a stored cell implies its whole lower box, and holds its cold value
-        for r, level in enumerate(counting._cells(commuting, multiset, d)[1:], 1):
-            for s, v in level[0].items():
-                assert all(s2 in level[0] for s2 in counting._box(s))
-                assert r == 1 or s in counting._cells(commuting, multiset, d)[r - 1][0]
+        levels = stored(commuting, multiset, d)
+        for r, level in enumerate(levels, 1):
+            for s, v in level.items():
+                assert all(s2 in level for s2 in counting._box(s))
+                assert r == 1 or s in levels[r - 2]
                 if (r, s) in cold:
                     assert v == cold[r, s]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.booleans(), st.integers(1, 3),
+                              st.integers(1, 5), st.tuples(*[st.integers(0, 3)] * 3),
+                              st.booleans()), min_size=1, max_size=12),
+           st.integers(2, 6))
+    def test_interleaved_families_keep_every_list_as_long_as_the_ids(self, requests,
+                                                                      r_zero):
+        # requests over both switches and d <= 3, the cache cleared between
+        # some; each is followed by the one-cell box s = 0 at a degree r > 1
+        cold = {}
+        for commuting, multiset, d, r, s, _ in requests:
+            counting._cells.cache_clear()
+            cold[commuting, multiset, r, s[:d]] = counting._count(commuting, multiset, r,
+                                                                  s[:d])
+        for commuting, multiset, d, r, s, clear in requests:
+            if clear:
+                counting._cells.cache_clear()
+            for r2, s2 in ((r, s[:d]), (r_zero, (0,) * d)):
+                got = counting._count(commuting, multiset, r2, s2)
+                assert got == cold.get((commuting, multiset, r2, s2), 1)  # 1 at s = 0
+                levels = counting._cells(commuting, multiset, d)
+                ids, preds, gets = levels[0]
+                assert sorted(ids.values()) == list(range(1, len(ids) + 1))
+                assert {len(x) for level in levels[1:] for x in level if x is not None} \
+                    == {len(preds)} == {len(gets)} and len(preds) > len(ids)
 
     def test_huge_box_is_refused_at_once_and_free_answers_below_its_bit_cap(self):
         start = time.perf_counter()
