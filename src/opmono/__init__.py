@@ -20,9 +20,7 @@ _EXPORTS = {
     "asymptotics": (
         "GrowthResult",
         "growth",
-        "growth_comm_unary",
         "growth_estimate",
-        "growth_free",
     ),
     "bijections": (
         "BinaryTree",
@@ -50,12 +48,7 @@ _EXPORTS = {
         "SelfCheckError",
         "check_symmetry_a1",
         "count",
-        "count_comm_both",
-        "count_comm_mult",
-        "count_comm_unary",
-        "count_free",
         "free_length_closed",
-        "free_length_closed_table",
         "length_sequence",
         "multinomial",
         "narayana",

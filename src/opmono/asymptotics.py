@@ -87,8 +87,6 @@ def _sign(commuting: bool, d: int, ell: int, t: Fraction) -> int:
 
 
 def _exact_root(regime: Regime, d: int, ell: int, tol: float) -> GrowthResult:
-    if d < 1 or ell < 1 or not 0 < tol < math.inf:  # also rejects nan
-        raise ValueError("need d >= 1, ell >= 1 and a finite tol > 0")
     if tol < 2.0 ** -_PREC_BITS:
         raise ValueError(f"tol {tol!r} is below the working precision 2^-{_PREC_BITS}")
     commuting = regime.unary_commute
@@ -104,19 +102,6 @@ def _exact_root(regime: Regime, d: int, ell: int, tol: float) -> GrowthResult:
             lo = hi = mid
     rho = (lo * lo + hi * hi) / 2
     return GrowthResult(regime, d, ell, 1 / rho, "exact-root", rho=rho, tol=tol)
-
-
-def growth_free(d: int, ell: int, tol: float = 1e-12) -> GrowthResult:
-    """Exact growth rate with nothing commuting: g = 1/rho where rho is the
-    unique root in (0, 1) of rho^(ell/2) + sqrt(d)*rho = 1 (increasing)."""
-    return _exact_root(Regime.FREE, d, ell, tol)
-
-
-def growth_comm_unary(d: int, ell: int, tol: float = 1e-12) -> GrowthResult:
-    """Exact growth rate with commuting unary operators: g = 1/rho where rho
-    is the unique root in (0, 1) of (1-rho^2)^d + rho^ell = 2*rho^(ell/2)
-    (the left-minus-right side is strictly decreasing)."""
-    return _exact_root(Regime.COMM_UNARY, d, ell, tol)
 
 
 def growth_estimate(regime: Regime, d: int, ell: int, n: int) -> GrowthResult:
@@ -140,7 +125,14 @@ def growth_estimate(regime: Regime, d: int, ell: int, n: int) -> GrowthResult:
 
 def growth(regime: Regime, d: int, ell: int, tol: float = 1e-12,
            n: int = 100) -> GrowthResult:
-    """Exact root for the noncommutative products, ratio estimate otherwise."""
+    """Exact root for the noncommutative products, ratio estimate otherwise;
+    ``tol`` and ``n`` are checked in every regime.  g = 1/rho, where rho in
+    (0, 1) is the one root of rho^(ell/2) + sqrt(d)*rho = 1 (free), or of
+    (1-rho^2)^d + rho^ell - 2*rho^(ell/2) = 0 (c); both left sides are monotone."""
+    if d < 1 or ell < 1 or not 0 < tol < math.inf:  # also rejects nan
+        raise ValueError("need d >= 1, ell >= 1 and a finite tol > 0")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if regime.mult_commute:
         return growth_estimate(regime, d, ell, n)
     return _exact_root(regime, d, ell, tol)

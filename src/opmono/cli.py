@@ -30,9 +30,8 @@ def _svec(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad multiplicity vector {text!r}; expected e.g. 2,1") from None
 
 
-def _add_regime(sp, default=None):
-    kwargs = {"required": True} if default is None else {"default": default}
-    sp.add_argument("--regime", choices=REGIME_CODES, **kwargs)
+def _add_regime(sp):
+    sp.add_argument("--regime", choices=REGIME_CODES, required=True)
 
 
 def _enumerate(args, regime: Regime) -> list:
@@ -92,11 +91,9 @@ def cmd_table(args) -> int:
     if work > counting.WORK_LIMIT:
         raise counting.WorkLimitExceeded(f"the table would read {work} terms, "
                                          f"above the cap {counting.WORK_LIMIT}")
-    rows = []
-    for r in range(1, args.rmax + 1):
-        for k in range(args.smax + 1):
-            for s in oracle.compositions(k, args.d):
-                rows.append((r, s, counting.count(regime, args.d, r, s)))
+    # plain and csv print each row as it is counted; only json holds them all
+    rows = ((r, s, counting.count(regime, args.d, r, s)) for r in range(1, args.rmax + 1)
+            for k in range(args.smax + 1) for s in oracle.compositions(k, args.d))
     if args.format == "json":
         import json
 

@@ -30,6 +30,7 @@ bug rather than bad input.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, combinations, product as cartesian
 from operator import floordiv, itemgetter, mul, sub
@@ -306,68 +307,24 @@ def count(regime: Regime, d: int, r: int, s) -> int:
     return _count(regime.unary_commute, regime.mult_commute, r, s)
 
 
-def count_free(d: int, r: int, s) -> int:
-    """Monomials of degree r, multiplicity s, nothing commuting: the
-    multinomial refinement of the one-operator Narayana count."""
-    return count(Regime.FREE, d, r, s)
-
-
-def count_comm_unary(d: int, r: int, s) -> int:
-    """Canonical monomials (weakly increasing unary chains) of degree r and
-    multiplicity s.  Degree 1 always counts exactly one monomial."""
-    return count(Regime.COMM_UNARY, d, r, s)
-
-
-def count_comm_mult(d: int, r: int, s) -> int:
-    """Monomials up to commutativity of the product (unary operators free)."""
-    return count(Regime.COMM_MULT, d, r, s)
-
-
-def count_comm_both(d: int, r: int, s) -> int:
-    """Monomials up to commutativity of both the product and the operators."""
-    return count(Regime.COMM_BOTH, d, r, s)
-
-
 # ---------------------------------------------------------------------------
 # Length-graded sequences: n = ell*r + 2*|s|.
 
-class LengthSequence:
+class LengthSequence(namedtuple("LengthSequence", "regime d ell values")):
     """Counts by word length, values[n] for 1 <= n <= n_max (values[0] = 0).
 
-    Immutable; equal when the fields are equal."""
+    Immutable; equal only to a LengthSequence with equal fields."""
 
-    __slots__ = __match_args__ = ("regime", "d", "ell", "values")
-    regime: Regime
-    d: int
-    ell: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, regime: Regime, d: int, ell: int, values: tuple[int, ...]) -> None:
-        for name, value in zip(self.__slots__, (regime, d, ell, values)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *args) -> None:
-        raise AttributeError("LengthSequence is immutable")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return self.regime, self.d, self.ell, self.values
-
-    def __reduce__(self):
-        return LengthSequence, self._fields()
-
+    # returns a bool: NotImplemented would let a plain tuple's == answer
     def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
+        return type(other) is type(self) and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
-    def __repr__(self) -> str:
-        return (f"LengthSequence(regime={self.regime!r}, d={self.d!r}, "
-                f"ell={self.ell!r}, values={self.values!r})")
+    __hash__ = tuple.__hash__
 
     @property
     def n_max(self) -> int:
@@ -378,12 +335,11 @@ class LengthSequence:
             raise IndexError(f"length {n} outside computed range 1..{self.n_max}")
         return self.values[n]
 
-    def table_terms(self, count: int | None = None) -> list[int]:
+    def table_terms(self) -> list[int]:
         """The naturally indexed terms: values at 2, 4, 6, ... when ell is
         even (odd lengths are empty then), values at 1, 2, 3, ... otherwise."""
         step = 2 if self.ell % 2 == 0 else 1
-        terms = [self.values[n] for n in range(step, self.n_max + 1, step)]
-        return terms if count is None else terms[:count]
+        return list(self.values[step::step])
 
 
 def _free_closed_sums(d: int, ell: int, lo: int, hi: int) -> list[int]:
@@ -407,11 +363,6 @@ def _free_closed_sums(d: int, ell: int, lo: int, hi: int) -> list[int]:
 def free_length_closed(d: int, ell: int, n: int) -> int:
     """Direct Narayana sum for the free count at word length n."""
     return _free_closed_sums(d, ell, n, n)[0]
-
-
-def free_length_closed_table(d: int, ell: int, n_max: int) -> list[int]:
-    """:func:`free_length_closed` for every 0 <= n <= n_max in one pass."""
-    return _free_closed_sums(d, ell, 0, n_max)
 
 
 def _length_values(layer: dict[int, int], ell: int, n_max: int, multiset: bool,

@@ -114,9 +114,11 @@ def enumerate_monomials(d: int, r: int, s, regime: Regime,
 
     The expected output size is predicted from the counting engine first;
     requests above ``cap`` raise :class:`EnumerationCapExceeded` instead of
-    exhausting memory.
+    exhausting memory.  A negative ``cap`` raises ``ValueError``.
     """
     s = counting._check_args(d, r, s)
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     predicted = counting.count(regime, d, r, s)
     if predicted > cap:
         raise EnumerationCapExceeded(predicted, cap)

@@ -17,7 +17,6 @@ from opmono import (
     check_symmetry_a1,
     closed_form_free,
     count,
-    count_free,
     compositions,
     decode_word,
     dyck_run_lengths_ok,
@@ -27,9 +26,8 @@ from opmono import (
     from_binary_tree,
     from_ordered_tree,
     from_path,
-    growth_comm_unary,
+    growth,
     growth_estimate,
-    growth_free,
     is_canonical,
     length_sequence,
     matched_ascent_monotone,
@@ -135,7 +133,7 @@ def test_criterion_6_identities():
         for d in (1, 2, 3):
             for r in range(1, 8):
                 for k in range(0, 9 - r):
-                    total = sum(count_free(d, r, s) for s in compositions(k, d))
+                    total = sum(count(Regime.FREE, d, r, s) for s in compositions(k, d))
                     assert total == d ** k * narayana(r + k, k)
         assert check_symmetry_a1(15)
         for ell in (1, 2, 3):
@@ -150,9 +148,9 @@ def test_criterion_6_identities():
 def test_criterion_7_exact_growth_panels():
     with criterion(7, "exact growth rates match reference values to 1e-3"):
         for d, ell, want in [(1, 1, 2.618), (2, 1, 3.2043), (1, 2, 2.0), (2, 2, 2.4142)]:
-            assert abs(float(growth_free(d, ell).g) - want) < 1e-3
+            assert abs(float(growth(Regime.FREE, d, ell).g) - want) < 1e-3
         for d, ell, want in [(2, 2, 2.3486), (3, 2, 2.6062)]:
-            assert abs(float(growth_comm_unary(d, ell).g) - want) < 1e-3
+            assert abs(float(growth(Regime.COMM_UNARY, d, ell).g) - want) < 1e-3
 
 
 def test_criterion_8_estimator_panels():

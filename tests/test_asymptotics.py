@@ -8,9 +8,7 @@ from opmono import (
     Regime,
     counting,
     growth,
-    growth_comm_unary,
     growth_estimate,
-    growth_free,
 )
 
 # four-decimal reference values for the exact panels
@@ -28,7 +26,7 @@ COMM_UNARY_VALUES = {
 
 @pytest.mark.parametrize("d,ell", sorted(FREE_VALUES))
 def test_growth_free_panel(d, ell):
-    res = growth_free(d, ell)
+    res = growth(Regime.FREE, d, ell)
     assert abs(float(res.g) - FREE_VALUES[(d, ell)]) < 1e-3
     assert res.method == "exact-root"
     assert 0 < float(res.rho) < 1
@@ -37,24 +35,24 @@ def test_growth_free_panel(d, ell):
 
 @pytest.mark.parametrize("d,ell", sorted(COMM_UNARY_VALUES))
 def test_growth_comm_unary_panel(d, ell):
-    res = growth_comm_unary(d, ell)
+    res = growth(Regime.COMM_UNARY, d, ell)
     assert abs(float(res.g) - COMM_UNARY_VALUES[(d, ell)]) < 1e-3
 
 
 def test_exact_algebraic_specializations():
     # ell=2: rho*(1+sqrt(d)) = 1, so g = 1 + sqrt(d)
     for d in range(1, 9):
-        assert abs(float(growth_free(d, 2).g) - (1 + math.sqrt(d))) < 1e-10
+        assert abs(float(growth(Regime.FREE, d, 2).g) - (1 + math.sqrt(d))) < 1e-10
 
 
 def test_residuals_meet_tolerance():
     tol = 1e-12
     for d in (1, 3, 7):
         for ell in (1, 2, 3):
-            rho = growth_free(d, ell, tol=tol).rho
+            rho = growth(Regime.FREE, d, ell, tol=tol).rho
             resid = float(math.sqrt(rho) ** ell + math.sqrt(d) * float(rho) - 1)
             assert abs(resid) < 1e-11
-            rho = growth_comm_unary(d, ell, tol=tol).rho
+            rho = growth(Regime.COMM_UNARY, d, ell, tol=tol).rho
             z = float(rho)
             resid = (1 - z * z) ** d + z ** ell - 2 * math.sqrt(z) ** ell
             assert abs(resid) < 1e-11
@@ -63,8 +61,8 @@ def test_residuals_meet_tolerance():
 def test_quotient_growth_is_no_faster():
     for d in range(1, 9):
         for ell in (1, 2, 3):
-            g_free = float(growth_free(d, ell).g)
-            g_c = float(growth_comm_unary(d, ell).g)
+            g_free = float(growth(Regime.FREE, d, ell).g)
+            g_c = float(growth(Regime.COMM_UNARY, d, ell).g)
             if d == 1:
                 assert abs(g_free - g_c) < 1e-10
             else:
@@ -91,9 +89,8 @@ def test_estimator_matches_exact_roots():
     # ratio estimator on 200 computed terms against the exact roots
     for d in range(1, 9):
         for ell in (1, 2, 3):
-            for fn, regime in ((growth_free, Regime.FREE),
-                               (growth_comm_unary, Regime.COMM_UNARY)):
-                exact = float(fn(d, ell).g)
+            for regime in (Regime.FREE, Regime.COMM_UNARY):
+                exact = float(growth(regime, d, ell).g)
                 est = float(growth_estimate(regime, d, ell, 99).g)
                 assert abs(exact - est) < 5e-2, (regime, d, ell)
 
@@ -105,16 +102,16 @@ def test_growth_dispatch():
 
 def test_bad_arguments():
     with pytest.raises(ValueError):
-        growth_free(0, 1)
+        growth(Regime.FREE, 0, 1)
     with pytest.raises(ValueError):
-        growth_free(1, 1, tol=0)
+        growth(Regime.FREE, 1, 1, tol=0)
     for tol in (math.inf, math.nan):  # inf used to stop at the first midpoint
         with pytest.raises(ValueError):
-            growth_comm_unary(2, 2, tol=tol)
+            growth(Regime.COMM_UNARY, 2, 2, tol=tol)
         with pytest.raises(ValueError):
-            growth_free(2, 2, tol=tol)
+            growth(Regime.FREE, 2, 2, tol=tol)
     with pytest.raises(ValueError, match="below the working precision"):
-        growth_free(2, 4, tol=1e-300)
+        growth(Regime.FREE, 2, 4, tol=1e-300)
     with pytest.raises(ValueError):
         growth_estimate(Regime.COMM_MULT, 1, 2, 0)
 
@@ -137,7 +134,7 @@ def test_free_enclosure_is_certified():
     # for a, b >= 1 that is (a - 1)^2 <= d <= (b - 1)^2, decided exactly
     tol = 2.0 ** -150
     for d in range(1, 9):
-        res = growth_free(d, 2, tol=tol)
+        res = growth(Regime.FREE, d, 2, tol=tol)
         assert isinstance(res.rho, Fraction) and res.g == 1 / res.rho
         a, b = 1 / (res.rho + Fraction(tol) / 2), 1 / (res.rho - Fraction(tol) / 2)
         assert 1 <= a < b
@@ -150,7 +147,7 @@ def test_comm_unary_matches_an_independent_root(d, ell):
     # secant method, started from the float value of the certified root
     import mpmath
 
-    res = growth_comm_unary(d, ell, tol=2.0 ** -150)
+    res = growth(Regime.COMM_UNARY, d, ell, tol=2.0 ** -150)
     with mpmath.workprec(192):
         f = lambda z: mpmath.sqrt(1 - (1 - z * z) ** d) + mpmath.sqrt(z) ** ell - 1
         root = mpmath.findroot(f, mpmath.mpf(float(res.rho)))
@@ -172,11 +169,11 @@ def test_bounded_signs_give_the_exact_bisection(d):
     # signs decided from fixed-point bounds leave every bracket, and so rho
     # and g, as the exact signs do.  Free d=4, ell=1 has F(1/2) = 0 at the
     # first midpoint, where the bounds cannot decide and the exact sign does
-    for fn, commuting in ((growth_free, False), (growth_comm_unary, True)):
+    for regime in (Regime.FREE, Regime.COMM_UNARY):
         for ell in (1, 2, 3):
             for tol in (1e-12, 2.0 ** -150) if d < 5 else (1e-12,):
-                res = fn(d, ell, tol=tol)
-                rho = exact_bisection(commuting, d, ell, tol)
+                res = growth(regime, d, ell, tol=tol)
+                rho = exact_bisection(regime.unary_commute, d, ell, tol)
                 assert (res.rho, res.g) == (rho, 1 / rho)
 
 

@@ -151,11 +151,20 @@ class TestGrowth:
             assert places <= 6
             assert abs(Fraction(text) - true) < Fraction(1, 2 * 10 ** places)
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
-    def test_tol_must_be_finite_and_positive(self, capsys, tol):
-        code, out, err = run(capsys, "growth", "--regime", "free", "--d", "2",
-                             "--ell", "2", "--tol", tol)
-        assert code == 2 and out == "" and err.startswith("error: ") and "tol" in err
+    # each regime reads one of --tol and --n, and checks both
+    @pytest.mark.parametrize("regime,flag,value", [
+        *[pytest.param("free", "--tol", tol, id=tol) for tol in ("inf", "nan", "0", "-1")],
+        pytest.param("m", "--tol", "-5", id="m-tol-neg"),
+        pytest.param("cm", "--tol", "nan", id="cm-tol-nan"),
+        pytest.param("free", "--n", "-5", id="free-n-neg"),
+        pytest.param("c", "--n", "0", id="c-n0"),
+    ])
+    def test_tol_must_be_finite_and_positive(self, capsys, regime, flag, value):
+        code, out, err = run(capsys, "growth", "--regime", regime, "--d", "2",
+                             "--ell", "2", flag, value)
+        assert code == 2 and out == ""
+        assert err == ("error: need d >= 1, ell >= 1 and a finite tol > 0\n" if flag == "--tol"
+                       else "error: n must be >= 1\n")
 
 
 class TestModels:
@@ -287,6 +296,25 @@ class TestTable:
         assert code == 3 and out == ""
         assert err == "error: the table would read 16449264 terms, above the cap 10000000\n"
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    def test_rows_are_printed_as_they_are_counted(self, monkeypatch, fmt):
+        # no list holds the rows: before each count, the header and every
+        # row counted so far are on stdout
+        from opmono import counting
+
+        out, printed, real = io.StringIO(), [], counting.count
+
+        def count(*args):
+            printed.append(out.getvalue().count("\n"))
+            return real(*args)
+
+        monkeypatch.setattr(counting, "count", count)
+        with contextlib.redirect_stdout(out):
+            code = main(["table", "--regime", "c", "--d", "1", "--rmax", "2",
+                         "--smax", "2", "--format", fmt])
+        assert code == 0 and printed == [1, 2, 3, 4, 5, 6]
+        assert len(out.getvalue().splitlines()) == 7
+
     def test_no_labels(self, capsys):
         code, out, err = run(capsys, "table", "--regime", "c", "--d", "0",
                              "--rmax", "1", "--smax", "0")
@@ -311,7 +339,11 @@ class TestUsageErrors:
         ["paths", "--d", "1", "--ell", "1", "--span", "-1"],
         ["trees", "--d", "0", "--vertices", "3"],
         ["trees", "--d", "1", "--vertices", "-1"],
-    ], ids=["paths-ell0", "paths-d0", "paths-span-neg", "trees-d0", "trees-neg"])
+        ["enumerate", "--regime", "free", "--d", "1", "--r", "2", "--s", "1", "--cap", "-1"],
+        ["count", "--oracle", "--regime", "m", "--d", "1", "--r", "2", "--s", "1",
+         "--cap", "-1"],
+    ], ids=["paths-ell0", "paths-d0", "paths-span-neg", "trees-d0", "trees-neg",
+            "enumerate-cap-neg", "count-oracle-cap-neg"])
     def test_bad_model_sizes(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
@@ -417,13 +449,19 @@ class TestFreshProcess:
         proc = self.python("-c", "import opmono\n" + self.SHOW_MODULES)
         assert proc.returncode == 0 and proc.stdout.splitlines() == ["opmono", ""]
 
-    def test_count_loads_only_counting_and_monomial(self):
-        argv = ["count", "--regime", "cm", "--d", "2", "--r", "3", "--s", "1,1"]
+    @pytest.mark.parametrize("argv,want", [
+        (["count", "--regime", "cm", "--d", "2", "--r", "3", "--s", "1,1"], ["12"]),
+        (["sequence", "--regime", "cm", "--d", "2", "--ell", "2", "--terms", "3"],
+         ["1 3 8"]),
+        (["bfile", "--regime", "cm", "--d", "2", "--ell", "2", "--terms", "3"],
+         ["1 1", "2 3", "3 8"]),
+    ], ids=["count", "sequence", "bfile"])
+    def test_count_loads_only_counting_and_monomial(self, argv, want):
         proc = self.python("-c", f"from opmono.cli import main\nprint(main({argv!r}))\n"
                            + self.SHOW_MODULES)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            "12", "0", "opmono opmono.cli opmono.counting opmono.monomial", ""]
+            *want, "0", "opmono opmono.cli opmono.counting opmono.monomial", ""]
 
     def test_series_loads_no_fractions(self):
         argv = ["series", "--regime", "m", "--d", "1", "--ell", "2", "--order", "4"]

@@ -15,13 +15,8 @@ from opmono import (
     Regime,
     count,
     count_by_length,
-    count_comm_both,
-    count_comm_mult,
-    count_comm_unary,
-    count_free,
     compositions,
     free_length_closed,
-    free_length_closed_table,
     growth_estimate,
     length_sequence,
     multinomial,
@@ -63,53 +58,54 @@ def test_multinomial():
 
 class TestMultigraded:
     def test_box_example_quartet(self):
-        assert count_free(2, 2, (2, 1)) == 30
-        assert count_comm_unary(2, 2, (2, 1)) == 18
-        assert count_comm_mult(2, 2, (2, 1)) == 17
-        assert count_comm_both(2, 2, (2, 1)) == 10
+        assert count(Regime.FREE, 2, 2, (2, 1)) == 30
+        assert count(Regime.COMM_UNARY, 2, 2, (2, 1)) == 18
+        assert count(Regime.COMM_MULT, 2, 2, (2, 1)) == 17
+        assert count(Regime.COMM_BOTH, 2, 2, (2, 1)) == 10
 
     def test_free_no_operators(self):
         for r in range(1, 9):
-            assert count_free(1, r, (0,)) == 1
+            assert count(Regime.FREE, 1, r, (0,)) == 1
 
     def test_free_small(self):
-        assert count_free(1, 2, (1,)) == 3
+        assert count(Regime.FREE, 1, 2, (1,)) == 3
 
     def test_degree_one_is_always_one(self):
-        assert count_comm_unary(2, 1, (5, 7)) == 1
-        assert count_comm_both(3, 1, (1, 1, 1)) == 1
+        assert count(Regime.COMM_UNARY, 2, 1, (5, 7)) == 1
+        assert count(Regime.COMM_BOTH, 3, 1, (1, 1, 1)) == 1
         for d in (1, 2, 3):
             for k in range(4):
                 for s in compositions(k, d):
-                    assert count_comm_unary(d, 1, s) == 1
-                    assert count_comm_both(d, 1, s) == 1
+                    assert count(Regime.COMM_UNARY, d, 1, s) == 1
+                    assert count(Regime.COMM_BOTH, d, 1, s) == 1
 
     def test_one_operator_collapses(self):
         # one operator: commuting operators change nothing, and the
         # commutative-product regimes coincide
         for r, s in multidegrees(1, 8):
-            assert count_comm_unary(1, r, s) == count_free(1, r, s)
-            assert count_comm_both(1, r, s) == count_comm_mult(1, r, s)
+            assert count(Regime.COMM_UNARY, 1, r, s) == count(Regime.FREE, 1, r, s)
+            assert count(Regime.COMM_BOTH, 1, r, s) == count(Regime.COMM_MULT, 1, r, s)
 
     def test_one_operator_commutative_rows(self):
-        assert [count_comm_mult(1, 2, (k,)) for k in range(7)] == [1, 2, 4, 6, 9, 12, 16]
-        assert count_comm_mult(1, 3, (2,)) == 8
+        assert ([count(Regime.COMM_MULT, 1, 2, (k,)) for k in range(7)]
+                == [1, 2, 4, 6, 9, 12, 16])
+        assert count(Regime.COMM_MULT, 1, 3, (2,)) == 8
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            count_free(2, 0, (0, 0))
+            count(Regime.FREE, 2, 0, (0, 0))
         with pytest.raises(ValueError):
-            count_free(2, 1, (1,))
+            count(Regime.FREE, 2, 1, (1,))
         with pytest.raises(ValueError):
-            count_free(2, 1, (-1, 0))
+            count(Regime.FREE, 2, 1, (-1, 0))
 
     @given(st.integers(1, 3), st.integers(1, 4), st.data())
     def test_label_permutation_symmetry(self, d, r, data):
         s = tuple(data.draw(st.integers(0, 3)) for _ in range(d))
         perm = data.draw(st.permutations(range(d)))
         s2 = tuple(s[i] for i in perm)
-        for fn in (count_free, count_comm_unary, count_comm_mult, count_comm_both):
-            assert fn(d, r, s) == fn(d, r, s2)
+        for regime in Regime:
+            assert count(regime, d, r, s) == count(regime, d, r, s2)
 
     def test_colored_sum_specialization(self):
         # summing over all multiplicity splits of k operators weights the
@@ -117,16 +113,16 @@ class TestMultigraded:
         for d in (1, 2, 3):
             for r in range(1, 8):
                 for k in range(0, 9 - r):
-                    total = sum(count_free(d, r, s) for s in compositions(k, d))
+                    total = sum(count(Regime.FREE, d, r, s) for s in compositions(k, d))
                     assert total == d ** k * narayana(r + k, k)
 
     def test_quotient_inequalities(self):
         for d in (1, 2, 3):
             for r, s in multidegrees(d, 6):
-                free = count_free(d, r, s)
-                c = count_comm_unary(d, r, s)
-                m = count_comm_mult(d, r, s)
-                cm = count_comm_both(d, r, s)
+                free = count(Regime.FREE, d, r, s)
+                c = count(Regime.COMM_UNARY, d, r, s)
+                m = count(Regime.COMM_MULT, d, r, s)
+                cm = count(Regime.COMM_BOTH, d, r, s)
                 assert cm <= c <= free
                 assert cm <= m <= free
 
@@ -167,8 +163,10 @@ class TestLengthSequences:
     def test_one_pass_closed_table_matches_per_n_sum(self):
         for d in (1, 2, 3):
             for ell in (1, 2, 3):
-                table = free_length_closed_table(d, ell, 200)
-                assert table == [free_length_closed(d, ell, n) for n in range(201)]
+                for lo, hi in ((0, 200), (1, 1), (37, 120), (150, 200)):
+                    window = counting._free_closed_sums(d, ell, lo, hi)
+                    assert window == [free_length_closed(d, ell, n)
+                                      for n in range(lo, hi + 1)]
 
     def test_cross_identity_length_four_vs_one(self):
         s14 = length_sequence(Regime.FREE, 1, 4, 2 * 20 + 2)
@@ -337,15 +335,16 @@ class TestUnaryLayer:
         # multigraded route to multinomial * narayana
         for d in (1, 2, 3):
             for r, s in multidegrees(d, 10):
-                assert counting._count(False, False, r, s) == count_free(d, r, s)
+                assert counting._count(False, False, r, s) == count(Regime.FREE, d, r, s)
 
     def test_comm_unary_deep_cells_within_default_recursion_limit(self):
         counting._cells.cache_clear()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            assert count_comm_unary(1, 2, (600,)) == count_free(1, 2, (600,))
-            assert count_comm_unary(1, 700, (0,)) == 1
+            assert (count(Regime.COMM_UNARY, 1, 2, (600,))
+                    == count(Regime.FREE, 1, 2, (600,)))
+            assert count(Regime.COMM_UNARY, 1, 700, (0,)) == 1
         finally:
             sys.setrecursionlimit(limit)
 
@@ -354,8 +353,8 @@ class TestUnaryLayer:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            assert count_comm_mult(1, 700, (0,)) == 1
-            assert count_comm_both(1, 700, (0,)) == 1
+            assert count(Regime.COMM_MULT, 1, 700, (0,)) == 1
+            assert count(Regime.COMM_BOTH, 1, 700, (0,)) == 1
         finally:
             sys.setrecursionlimit(limit)
 
@@ -364,10 +363,10 @@ class TestUnaryLayer:
         # many labels costs what it costs over its own support
         counting._cells.cache_clear()
         e1 = (1,) + (0,) * 39
-        assert count_comm_unary(40, 2, e1) == count_comm_unary(1, 2, (1,)) == 3
-        assert count_comm_both(40, 2, e1) == count_comm_both(1, 2, (1,)) == 2
+        assert count(Regime.COMM_UNARY, 40, 2, e1) == count(Regime.COMM_UNARY, 1, 2, (1,)) == 3
+        assert count(Regime.COMM_BOTH, 40, 2, e1) == count(Regime.COMM_BOTH, 1, 2, (1,)) == 2
         start = time.perf_counter()
-        assert count_comm_unary(18, 2, e1[:18]) == 3
+        assert count(Regime.COMM_UNARY, 18, 2, e1[:18]) == 3
         assert time.perf_counter() - start < 1.0
 
     @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.data())

@@ -1,5 +1,5 @@
-"""The package's public surface: every name it exported when it imported its
-modules eagerly, now loaded on first access."""
+"""The package's public surface: the names it exports, each loaded on first
+access."""
 
 import importlib
 
@@ -8,15 +8,14 @@ import pytest
 import opmono
 
 SURFACE = {
-    "asymptotics": "GrowthResult growth growth_comm_unary growth_estimate growth_free",
+    "asymptotics": "GrowthResult growth growth_estimate",
     "bijections": "BinaryTree LatticePath OrderedTree all_binary_trees all_dyck_paths "
                   "all_lattice_paths count_vertices dyck_inverse dyck_run_lengths_ok "
                   "dyck_transform from_binary_tree from_ordered_tree from_path "
                   "matched_ascent_monotone right_chain_monotone to_binary_tree "
                   "to_ordered_tree to_path validate_path",
-    "counting": "LengthSequence SelfCheckError check_symmetry_a1 count count_comm_both "
-                "count_comm_mult count_comm_unary count_free free_length_closed "
-                "free_length_closed_table length_sequence multinomial narayana",
+    "counting": "LengthSequence SelfCheckError check_symmetry_a1 count free_length_closed "
+                "length_sequence multinomial narayana",
     "monomial": "STAR Monomial Product Regime Star Unary canonical_key canonicalize "
                 "decode_word degree encode_word format_monomial is_atom is_canonical "
                 "multiplicity parse_monomial product word_length",
@@ -29,7 +28,7 @@ NAMES = [(module, name) for module, names in SURFACE.items() for name in names.s
 
 
 def test_all_lists_the_exported_names():
-    assert len(NAMES) == 67
+    assert len(NAMES) == 60
     assert sorted(opmono.__all__) == sorted([name for _, name in NAMES] + ["__version__"])
 
 
