@@ -84,10 +84,7 @@ _EXPORTS = {
         "Series",
         "closed_form_free",
         "euler_exp_log",
-        "euler_series",
         "series_for",
-        "solve_quadratic_fe",
-        "unary_layer_series",
     ),
 }
 _SUBMODULES = ("fixtures", *_EXPORTS)

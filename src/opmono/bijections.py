@@ -22,6 +22,7 @@ from .monomial import (
     Monomial,
     Product,
     Unary,
+    _check_ell,
     decode_word,
     encode_word,
 )
@@ -150,46 +151,49 @@ def path_from_text(text: str, ell: int) -> LatticePath:
     return LatticePath(tuple(steps))
 
 
-def _path_word(p: LatticePath) -> list[int]:
-    """The bracketed word of p, read in one pass that checks p as
-    :func:`validate_path` says."""
-    tokens: list[int] = []
-    ups: list[int] = []  # labels of the up-steps not yet matched
+def _read_path(p: LatticePath) -> tuple[list[int], bool]:
+    """The bracketed word of p and whether p is matched-ascent monotone,
+    read in one pass that checks p as :func:`validate_path` says."""
+    tokens: list[int] = []  # one per step, so a step's index is its token's
+    ups: list[int] = []  # indices of the up-steps not yet matched
     span = None
+    closed = -1  # the up-step that the last down-step matched
+    monotone = True
     for s in p.steps:
-        if s[0] == "U":
+        kind = s[0]
+        if kind == "U":
             if s[1] < 1:
                 raise ValueError("up-step labels must be >= 1")
-            ups.append(s[1])
+            ups.append(len(tokens))
             tokens.append(s[1])
-        elif s[0] == "D":
-            if tokens and tokens[-1] > 0:
-                raise ValueError("peak: up-step immediately followed by down-step")
+        elif kind == "D":
             if not ups:
                 raise ValueError("path dips below the axis")
-            tokens.append(-ups.pop())
+            last, u = tokens[-1], ups.pop()
+            if last > 0:
+                raise ValueError("peak: up-step immediately followed by down-step")
+            # two adjacent up-steps matched by adjacent down-steps
+            if last < 0 and closed == u + 1 and tokens[u] > tokens[closed]:
+                monotone = False
+            tokens.append(-tokens[u])
+            closed = u
         else:
-            if s[1] < 1:
-                raise ValueError("horizontal span must be >= 1")
-            if span is None:
+            if s[1] != span:
+                if s[1] < 1:
+                    raise ValueError("horizontal span must be >= 1")
+                if span is not None:
+                    raise ValueError("mixed horizontal spans in one path")
                 span = s[1]
-            elif span != s[1]:
-                raise ValueError("mixed horizontal spans in one path")
             tokens.append(0)
     if ups:
         raise ValueError("path does not end on the axis")
-    return tokens
+    return tokens, monotone
 
 
 def validate_path(p: LatticePath) -> None:
     """Raise ValueError unless p stays nonnegative, ends at height 0, is
     peakless, and uses one fixed horizontal span."""
-    _path_word(p)
-
-
-def _check_ell(ell: int) -> None:
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got {ell}")
+    _read_path(p)
 
 
 def to_path(m: Monomial, ell: int) -> LatticePath:
@@ -206,7 +210,7 @@ def to_path(m: Monomial, ell: int) -> LatticePath:
 
 
 def from_path(p: LatticePath, d: int) -> Monomial:
-    return decode_word(_path_word(p), d)
+    return decode_word(_read_path(p)[0], d)
 
 
 def matched_ascent_monotone(p: LatticePath) -> bool:
@@ -217,27 +221,9 @@ def matched_ascent_monotone(p: LatticePath) -> bool:
     matching down-steps to be consecutive, so two adjacent up-steps belong
     to the same matched ascent exactly when their matches are adjacent
     (in reverse order).  Matched ascents are precisely the images of
-    maximal unary chains.  Raises ValueError for a path that dips below the
-    axis or does not end on it."""
-    steps = p.steps
-    ups: list[int] = []  # positions of the up-steps not yet matched
-    closed = -1  # the up-step that the previous step matched, if it was a down-step
-    monotone = True
-    for i, s in enumerate(steps):
-        if s[0] == "D":
-            if not ups:
-                raise ValueError("path dips below the axis")
-            u = ups.pop()
-            if closed == u + 1 and steps[u][1] > steps[closed][1]:
-                monotone = False
-            closed = u
-        else:
-            if s[0] == "U":
-                ups.append(i)
-            closed = -1
-    if ups:
-        raise ValueError("path does not end on the axis")
-    return monotone
+    maximal unary chains.  Raises ValueError for a path that
+    :func:`validate_path` rejects."""
+    return _read_path(p)[1]
 
 
 def _check_cap(d: int, ell: int, span: int, what: str) -> None:
@@ -487,6 +473,8 @@ def dyck_inverse(path, ell: int) -> Monomial:
 
 
 def all_dyck_paths(semilength: int) -> list[tuple[int, ...]]:
+    if semilength < 0:
+        raise ValueError("need semilength >= 0")
     out: list[tuple[int, ...]] = []
     # depth first, an up-step before a down-step
     todo = [((), semilength, 0)]

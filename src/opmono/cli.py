@@ -8,8 +8,10 @@ limit of ``counting`` for one count or a whole ``table``.
 
 Every call is a fresh process, so each subcommand imports the modules it
 calls itself, inside its function: ``count`` loads only ``counting`` and
-``monomial``.  ``growth`` prints g and rho with only the decimals (up to six)
-that its certified enclosure fixes, and exits 2 when ``tol`` fixes none.
+``monomial``.  ``series`` prints the coefficients of ``series.series_for``,
+or with ``--method closed`` those of ``series.closed_form_free`` (free
+regime only).  ``growth`` prints g and rho with only the decimals (up to
+six) that its certified enclosure fixes, and exits 2 when ``tol`` fixes none.
 """
 
 from __future__ import annotations
@@ -122,14 +124,10 @@ def cmd_series(args) -> int:
     regime = Regime.from_code(args.regime)
     if args.method == "auto":
         ser = series.series_for(regime, args.d, args.ell, args.order)
-    elif args.method == "fe":
-        ser = series.solve_quadratic_fe(regime, args.d, args.ell, args.order)
-    elif args.method == "newton":
-        if regime is not Regime.FREE:
-            raise ValueError("the Newton closed form applies to the free regime only")
+    elif regime is Regime.FREE:
         ser = series.closed_form_free(args.d, args.ell, args.order)
-    else:  # euler
-        ser = series.euler_series(regime, args.d, args.ell, args.order)
+    else:
+        raise ValueError("the closed form applies to the free regime only")
     for n in range(args.order + 1):
         print(f"{n}\t{ser.coeff(n)}")
     return 0
@@ -167,32 +165,29 @@ def cmd_growth(args) -> int:
     return 0
 
 
-def cmd_paths(args) -> int:
-    from . import bijections
-
-    items = bijections.all_lattice_paths(args.d, args.ell, args.span)
+def _print_models(args, items, keep, text) -> int:
     if args.check:
-        items = [p for p in items if bijections.matched_ascent_monotone(p)]
+        items = [x for x in items if keep(x)]
     if args.count_only:
         print(len(items))
         return 0
-    for text in sorted(p.to_text() for p in items):
-        print(text)
+    for line in sorted(map(text, items)):
+        print(line)
     return 0
+
+
+def cmd_paths(args) -> int:
+    from . import bijections
+
+    return _print_models(args, bijections.all_lattice_paths(args.d, args.ell, args.span),
+                         bijections.matched_ascent_monotone, bijections.LatticePath.to_text)
 
 
 def cmd_trees(args) -> int:
     from . import bijections
 
-    items = bijections.all_binary_trees(args.vertices, args.d)
-    if args.check:
-        items = [t for t in items if bijections.right_chain_monotone(t)]
-    if args.count_only:
-        print(len(items))
-        return 0
-    for text in sorted(bijections.binary_tree_text(t) for t in items):
-        print(text)
-    return 0
+    return _print_models(args, bijections.all_binary_trees(args.vertices, args.d),
+                         bijections.right_chain_monotone, bijections.binary_tree_text)
 
 
 def cmd_verify(args) -> int:
@@ -276,8 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--method", choices=["auto", "fe", "newton", "euler"],
-                    default="auto")
+    sp.add_argument("--method", choices=["auto", "closed"], default="auto",
+                    help="auto: series.series_for, Newton iteration on the "
+                         "regime's equation; closed: series.closed_form_free, "
+                         "the quadratic formula (free regime only)")
     sp.set_defaults(func=cmd_series)
 
     sp = sub.add_parser("growth", help="exponential growth rate")

@@ -362,6 +362,8 @@ def _free_closed_sums(d: int, ell: int, lo: int, hi: int) -> list[int]:
 
 def free_length_closed(d: int, ell: int, n: int) -> int:
     """Direct Narayana sum for the free count at word length n."""
+    if d < 1 or ell < 1 or n < 1:
+        raise ValueError("d, ell and n must all be >= 1")
     return _free_closed_sums(d, ell, n, n)[0]
 
 

@@ -156,9 +156,15 @@ def multiplicity(m: Monomial, d: int) -> tuple[int, ...]:
     return tuple(s)
 
 
+def _check_ell(ell: int) -> None:
+    if ell < 1:
+        raise ValueError(f"need ell >= 1, got {ell}")
+
+
 def word_length(m: Monomial, ell: int) -> int:
     """Length of the bracketed word when ``*`` has length ``ell`` and every
     delimiter has length 1."""
+    _check_ell(ell)
     w = encode_word(m)
     return (ell - 1) * w.count(0) + len(w)
 

@@ -135,8 +135,10 @@ def count_by_length(d: int, ell: int, n: int, regime: Regime,
                     cap: int = DEFAULT_CAP) -> int:
     """Number of canonical monomials whose bracketed word has length n, by
     brute-force enumeration over all (r, s) with ell*r + 2*|s| == n."""
-    if ell < 1 or n < 1:
-        raise ValueError("ell and n must be >= 1")
+    if d < 1 or ell < 1 or n < 1:
+        raise ValueError("d, ell and n must all be >= 1")
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     total = 0
     r = 1
     while ell * r <= n:

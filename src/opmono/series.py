@@ -1,14 +1,15 @@
 """Truncated one-variable formal power series with integer coefficients,
-plus solvers for the generating-function equations of the four regimes.
+and the length-graded series of the four regimes.
 
-The series route is independent of the counting recurrences; it shares
-only the unary layer, read from :func:`counting.layer_lengths`.  Everything
-runs on plain integer coefficient lists through a handful of shared
-kernels: truncated multiplication, the inverse of a series with constant
-term +-1, the exponential from its log-derivative, and the square root.
-Every division inside a kernel is asserted exact and raises
-:class:`SelfCheckError` otherwise.  :class:`Series` only holds a solver's
-answer: an order and a tuple of ints, with no arithmetic of its own.
+:func:`series_for` is the one entry point, with the regime an argument.
+It is independent of the counting recurrences; it shares only the unary
+layer, read from :func:`counting.layer_lengths`.  Everything runs on plain
+integer coefficient lists through a handful of shared kernels: truncated
+multiplication, the inverse of a series with constant term +-1, the
+exponential from its log-derivative, and the square root.  Every division
+inside a kernel is asserted exact and raises :class:`SelfCheckError`
+otherwise.  :class:`Series` only holds a solver's answer: an order and a
+tuple of ints, with no arithmetic of its own.
 
 * The noncommutative-product regimes (free, c) solve the quadratic
   Q(B) = w*B^2 + (w + z^ell - 1)*B + z^ell = 0 by precision-doubling Newton
@@ -20,9 +21,9 @@ answer: an order and a tuple of ints, with no arithmetic of its own.
   square root, followed by an asserted exact division by 2*d*z^2.
 * The commutative-product regimes (m, cm) solve the multiset construction
   1 + Y = exp(sum_{j>=1} Bbar(z^j)/j), Bbar = z^ell + w*Y, by the same
-  doubling in :func:`euler_exp_log`, which takes the atom and the weight as
-  two integer lists.  The j >= 2 terms R only read Y at half the index, so
-  each step fixes R from the half-precision iterate (Otter, Polya) and
+  doubling.  :func:`euler_exp_log` solves it for any atom and weight given
+  as two integer lists.  The j >= 2 terms R only read Y at half the index,
+  so each step fixes R from the half-precision iterate (Otter, Polya) and
   takes one Newton step on Y = exp(z^ell + w*Y + R) - 1.  The exponential
   is formed from the integral log-derivative sum_n (sum_{k|n} k*bbar_k) z^n,
   so the division by n in m*e_m = sum_k c_k*e_{m-k} is asserted exact.
@@ -122,12 +123,6 @@ def _term(k: int, n: int, c: int = 1) -> list:
     return out
 
 
-def _layer(regime: Regime, d: int, n: int) -> list:
-    # one layer of unary labels, from counting's length form
-    form = layer_lengths(regime.unary_commute, d, n - 1)
-    return [form.get(k, 0) for k in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # The public holder.
 
@@ -171,17 +166,11 @@ class Series:
 # ---------------------------------------------------------------------------
 # Solvers.
 
-def _check_args(ell: int, order: int, d: int = 1) -> None:
+def _check_args(d: int, ell: int, order: int) -> None:
     if d < 1 or ell < 1:
         raise ValueError("d and ell must be >= 1")
     if order < ell:
         raise ValueError("order must be at least ell")
-
-
-def unary_layer_series(regime: Regime, d: int, order: int) -> Series:
-    """Generating weight of one layer of unary labels in the length grading:
-    d*z^2 when the operators are free, 1 - (1-z^2)^d when they commute."""
-    return Series(_layer(regime, d, order + 1), order)
 
 
 def _quadratic_newton(w: list, ell: int, n: int) -> list:
@@ -207,26 +196,13 @@ def _quadratic_newton(w: list, ell: int, n: int) -> list:
     return b
 
 
-def solve_quadratic_fe(regime: Regime, d: int, ell: int, order: int) -> Series:
-    """Unique zero-constant-term solution of
-    B = z^ell + z^ell*B + w*(B + B^2), where w is the unary-layer weight of
-    ``regime`` (FREE or COMM_UNARY), by precision-doubling Newton iteration
-    on the quadratic over the integers."""
-    if regime.mult_commute:
-        raise ValueError("quadratic functional equation applies to the "
-                         "noncommutative-product regimes only")
-    _check_args(ell, order, d)
-    n = order + 1
-    return Series(_quadratic_newton(_layer(regime, d, n), ell, n), order)
-
-
 def closed_form_free(d: int, ell: int, order: int) -> Series:
     """The free-regime series by the quadratic formula for
     d*z^2*B^2 - L*B + z^ell = 0 with L = 1 - z^ell - d*z^2:
     B = (L - sqrt(L^2 - 4*d*z^(ell+2))) / (2*d*z^2), with an integer series
     square root and an asserted exact division.  Agrees with
-    :func:`solve_quadratic_fe` coefficient for coefficient."""
-    _check_args(ell, order, d)
+    :func:`series_for` coefficient for coefficient."""
+    _check_args(d, ell, order)
     n = order + 3  # the division by z^2 consumes two coefficients
     lin = _add([1], _term(ell, n, -1), _term(2, n, -d), n=n)
     disc = _add(_mul(lin, lin, n), _term(ell + 2, n, -4 * d), n=n)
@@ -262,14 +238,15 @@ def _multiset_newton(atom: list, w: list, n: int) -> list:
     return y
 
 
-def euler_exp_log(atom, weight, ell: int, order: int) -> Series:
+def euler_exp_log(atom, weight, order: int) -> Series:
     """Solution B of the multiset construction
     1 + B = exp(sum_{j>=1} Bbar(z^j)/j), with Bbar = atom + weight*B.
 
     ``atom`` and ``weight`` are integer coefficient lists, each with zero
     constant term: the atom series of a monomial is the indeterminate z^ell
     (``atom``) plus one unary layer over a monomial (``weight`` times B)."""
-    _check_args(ell, order)
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if not all(isinstance(c, int) for c in (*atom, *weight)):
         raise ValueError("atom and weight must be lists of integers")
     if any(atom[:1]) or any(weight[:1]):
@@ -277,18 +254,25 @@ def euler_exp_log(atom, weight, ell: int, order: int) -> Series:
     return Series(_multiset_newton(atom, weight, order + 1), order)
 
 
-def euler_series(regime: Regime, d: int, ell: int, order: int) -> Series:
-    """Length-graded series for the commutative-product regimes via the
-    exp-log construction, with the atom z^ell and one layer as the weight."""
-    if not regime.mult_commute:
-        raise ValueError("the exp-log construction applies to the "
-                         "commutative-product regimes only")
-    _check_args(ell, order, d)
-    n = order + 1
-    return euler_exp_log(_term(ell, n), _layer(regime, d, n), ell, order)
-
-
 def series_for(regime: Regime, d: int, ell: int, order: int) -> Series:
-    if not regime.mult_commute:
-        return solve_quadratic_fe(regime, d, ell, order)
-    return euler_series(regime, d, ell, order)
+    """Length-graded series of ``regime`` to ``order``: the coefficient of
+    z^n counts the monomials whose bracketed word has length n.
+
+    With w the weight of one unary layer (d*z^2 for free operators,
+    1 - (1-z^2)^d for commuting ones) and the atoms Bbar = z^ell + w*B, B is
+    the solution with zero constant term of
+
+    * the quadratic B = z^ell + z^ell*B + w*(B + B^2), that is
+      1 + B = 1/(1 - Bbar), when the product is noncommutative (free, c);
+    * the multiset construction 1 + B = exp(sum_{j>=1} Bbar(z^j)/j) of
+      :func:`euler_exp_log` when the product is commutative (m, cm).
+
+    Both are solved by precision-doubling Newton iteration over the
+    integers."""
+    _check_args(d, ell, order)
+    n = order + 1
+    form = layer_lengths(regime.unary_commute, d, order)  # one layer of labels
+    w = [form.get(k, 0) for k in range(n)]
+    if regime.mult_commute:
+        return Series(_multiset_newton(_term(ell, n), w, n), order)
+    return Series(_quadratic_newton(w, ell, n), order)

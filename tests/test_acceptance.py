@@ -22,7 +22,6 @@ from opmono import (
     dyck_run_lengths_ok,
     encode_word,
     enumerate_monomials,
-    euler_series,
     from_binary_tree,
     from_ordered_tree,
     from_path,
@@ -33,7 +32,7 @@ from opmono import (
     matched_ascent_monotone,
     narayana,
     right_chain_monotone,
-    solve_quadratic_fe,
+    series_for,
     to_binary_tree,
     to_ordered_tree,
     to_path,
@@ -91,19 +90,9 @@ def test_criterion_4_dual_route_consistency():
     with criterion(4, "series solvers agree with recurrences to order 40"):
         for d in (1, 2, 3, 4):
             for ell in (1, 2, 3):
-                want = {
-                    Regime.FREE: length_sequence(Regime.FREE, d, ell, 40).values,
-                    Regime.COMM_UNARY: length_sequence(Regime.COMM_UNARY, d, ell, 40).values,
-                    Regime.COMM_MULT: length_sequence(Regime.COMM_MULT, d, ell, 40).values,
-                    Regime.COMM_BOTH: length_sequence(Regime.COMM_BOTH, d, ell, 40).values,
-                }
-                routes = [
-                    (Regime.FREE, solve_quadratic_fe(Regime.FREE, d, ell, 40)),
-                    (Regime.FREE, closed_form_free(d, ell, 40)),
-                    (Regime.COMM_UNARY, solve_quadratic_fe(Regime.COMM_UNARY, d, ell, 40)),
-                    (Regime.COMM_MULT, euler_series(Regime.COMM_MULT, d, ell, 40)),
-                    (Regime.COMM_BOTH, euler_series(Regime.COMM_BOTH, d, ell, 40)),
-                ]
+                want = {r: length_sequence(r, d, ell, 40).values for r in Regime}
+                routes = [(r, series_for(r, d, ell, 40)) for r in Regime]
+                routes.append((Regime.FREE, closed_form_free(d, ell, 40)))
                 for regime, ser in routes:
                     got = [int(ser.coeff(n)) for n in range(41)]
                     assert got == list(want[regime]), (regime, d, ell)

@@ -180,7 +180,7 @@ class TestPaths:
         ((("H", 1), ("H", 2)), "mixed horizontal spans in one path"),
     ])
     def test_invalid_steps_rejected(self, steps, message):
-        for check in (validate_path, lambda p: from_path(p, 2)):
+        for check in (validate_path, lambda p: from_path(p, 2), matched_ascent_monotone):
             with pytest.raises(ValueError, match=message):
                 check(LatticePath(steps))
 
@@ -207,6 +207,7 @@ class TestPaths:
         assert matched_ascent_monotone(path_from_text("U2 H D", 1))
 
     @pytest.mark.parametrize("text,message", [
+        ("U1 D", "peak: up-step immediately followed by down-step"),
         ("H D", "path dips below the axis"),
         ("U1 H D D U1 H D", "path dips below the axis"),
         ("U1 U2 H", "path does not end on the axis"),
@@ -422,6 +423,11 @@ class TestDyck:
             paths = all_dyck_paths(n)
             assert len(paths) == catalan[n - 1]
             assert all(dyck_run_lengths_ok(p, 1) for p in paths)
+
+    def test_negative_semilength_rejected(self):
+        with pytest.raises(ValueError, match="semilength >= 0"):
+            all_dyck_paths(-1)
+        assert all_dyck_paths(0) == [()]
 
     def test_equinumerosity(self):
         for ell in (1, 2, 3):

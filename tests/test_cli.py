@@ -104,18 +104,23 @@ class TestSeries:
         assert out.splitlines() == ["0\t0", "1\t0", "2\t1", "3\t0", "4\t2",
                                     "5\t0", "6\t5"]
 
-    def test_newton_restricted_to_free(self, capsys):
+    def test_closed_restricted_to_free(self, capsys):
         code, _, err = run(capsys, "series", "--regime", "c", "--d", "1",
-                           "--ell", "2", "--order", "6", "--method", "newton")
+                           "--ell", "2", "--order", "6", "--method", "closed")
         assert code == 2 and "free regime" in err
 
-    @pytest.mark.parametrize("regime,method", [("free", "newton"), ("m", "euler"),
-                                               ("cm", "euler")])
-    def test_method_prints_what_auto_prints(self, capsys, regime, method):
-        argv = ["series", "--regime", regime, "--d", "2", "--ell", "2", "--order", "12"]
+    def test_closed_prints_what_auto_prints(self, capsys):
+        argv = ["series", "--regime", "free", "--d", "2", "--ell", "2", "--order", "12"]
         code, auto, _ = run(capsys, *argv)
         assert code == 0
-        assert run(capsys, *argv, "--method", method) == (0, auto, "")
+        assert run(capsys, *argv, "--method", "closed") == (0, auto, "")
+
+    @pytest.mark.parametrize("method", ["fe", "newton", "euler"])
+    def test_removed_methods_are_usage_errors(self, method):
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            main(["series", "--regime", "free", "--d", "1", "--ell", "2", "--order", "4",
+                  "--method", method])
+        assert exc.value.code == 2
 
     def test_order_below_ell(self, capsys):
         for regime in ("free", "c", "m", "cm"):
@@ -559,7 +564,7 @@ _VALUES = {
     "--offset": st.integers(-1, 2).map(str),
     "--cap": st.integers(-1, 20).map(str),
     "--tol": (st.floats() | st.sampled_from([math.inf, math.nan, 1e-300, 0.0])).map(repr),
-    "--method": st.sampled_from(["auto", "fe", "newton", "euler"]),
+    "--method": st.sampled_from(["auto", "closed"]),
     "--format": st.sampled_from(["plain", "csv", "json"]),
 }
 _OPTIONS = {  # flags take no value

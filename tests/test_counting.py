@@ -165,8 +165,13 @@ class TestLengthSequences:
             for ell in (1, 2, 3):
                 for lo, hi in ((0, 200), (1, 1), (37, 120), (150, 200)):
                     window = counting._free_closed_sums(d, ell, lo, hi)
-                    assert window == [free_length_closed(d, ell, n)
+                    assert window == [free_length_closed(d, ell, n) if n else 0
                                       for n in range(lo, hi + 1)]
+
+    @pytest.mark.parametrize("args", [(-2, 2, 6), (2, 0, 4), (2, 2, 0)])
+    def test_free_closed_rejects_bad_arguments(self, args):
+        with pytest.raises(ValueError, match=">= 1"):
+            free_length_closed(*args)
 
     def test_cross_identity_length_four_vs_one(self):
         s14 = length_sequence(Regime.FREE, 1, 4, 2 * 20 + 2)

@@ -93,6 +93,9 @@ class TestGradings:
     def test_word_length(self):
         m = parse_monomial("*P1(*P2(**))")
         assert word_length(m, 2) == 4 * 2 + 4
+        for ell in (0, -3):
+            with pytest.raises(ValueError, match="ell >= 1"):
+                word_length(STAR, ell)
 
 
 class TestCanonicalize:

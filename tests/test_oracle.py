@@ -171,6 +171,14 @@ def test_count_by_length_examples():
         assert count_by_length(1, 2, 2, regime) == 1
 
 
+def test_count_by_length_rejects_bad_arguments():
+    # checked before the shell loop, which finds no shell at n = 1, ell = 2
+    with pytest.raises(ValueError, match="d, ell and n"):
+        count_by_length(0, 2, 1, Regime.FREE)
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        count_by_length(1, 2, 1, Regime.FREE, cap=-1)
+
+
 def test_cap_guard():
     with pytest.raises(EnumerationCapExceeded):
         enumerate_monomials(3, 9, (5, 5, 5), Regime.FREE, cap=1000)

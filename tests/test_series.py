@@ -12,11 +12,8 @@ from opmono import (
     check_symmetry_a1,
     closed_form_free,
     euler_exp_log,
-    euler_series,
     length_sequence,
     series_for,
-    solve_quadratic_fe,
-    unary_layer_series,
 )
 from opmono.counting import layer_lengths
 from opmono.series import _exp, _inv, _mul, _sqrt
@@ -68,66 +65,58 @@ class TestArithmetic:
 
 
 def test_unary_layer_series():
-    # free: d*z^2; commuting: 1 - (1 - z^2)^d
-    assert unary_layer_series(Regime.FREE, 3, 6) == Series([0, 0, 3], 6)
-    assert unary_layer_series(Regime.COMM_UNARY, 2, 6) == Series([0, 0, 2, 0, -1], 6)
+    # free: d*z^2; commuting: 1 - (1 - z^2)^d, as the length form series_for reads
+    assert layer_lengths(False, 3, 6) == {2: 3}
+    assert layer_lengths(True, 2, 6) == {2: 2, 4: -1}
 
 
 class TestQuadraticSolvers:
     def test_catalan(self):
-        s = solve_quadratic_fe(Regime.FREE, 1, 2, 10)
+        s = series_for(Regime.FREE, 1, 2, 10)
         assert [s.coeff(2 * n) for n in range(1, 6)] == [1, 2, 5, 14, 42]
 
     def test_lowest_order_is_single_term(self):
         for d, ell in [(1, 1), (3, 2), (2, 3)]:
-            s = solve_quadratic_fe(Regime.FREE, d, ell, ell)
+            s = series_for(Regime.FREE, d, ell, ell)
             assert s == Series([0] * ell + [1])
 
     def test_comm_unary_row(self):
-        s = solve_quadratic_fe(Regime.COMM_UNARY, 3, 1, 6)
+        s = series_for(Regime.COMM_UNARY, 3, 1, 6)
         assert list(s.coeffs[1:]) == [1, 1, 4, 10, 25, 76]
 
     def test_newton_agrees_with_fixpoint(self):
         for d in (1, 2, 3, 4):
             for ell in (1, 2, 3):
-                assert closed_form_free(d, ell, 40) == solve_quadratic_fe(
+                assert closed_form_free(d, ell, 40) == series_for(
                     Regime.FREE, d, ell, 40)
-
-    def test_rejects_commutative_product_regimes(self):
-        with pytest.raises(ValueError):
-            solve_quadratic_fe(Regime.COMM_MULT, 1, 2, 8)
 
     def test_order_below_ell_rejected(self):
         with pytest.raises(ValueError):
-            solve_quadratic_fe(Regime.FREE, 1, 3, 2)
+            series_for(Regime.FREE, 1, 3, 2)
 
 
 class TestEulerConstruction:
     def test_rooted_tree_row(self):
-        e = euler_series(Regime.COMM_MULT, 1, 2, 12)
+        e = series_for(Regime.COMM_MULT, 1, 2, 12)
         assert [int(e.coeff(2 * n)) for n in range(1, 7)] == [1, 2, 4, 9, 20, 48]
 
     def test_more_rows(self):
-        e = euler_series(Regime.COMM_MULT, 3, 2, 8)
+        e = series_for(Regime.COMM_MULT, 3, 2, 8)
         assert [int(e.coeff(2 * n)) for n in range(1, 5)] == [1, 4, 16, 70]
-        e = euler_series(Regime.COMM_BOTH, 3, 2, 8)
+        e = series_for(Regime.COMM_BOTH, 3, 2, 8)
         assert [int(e.coeff(2 * n)) for n in range(1, 5)] == [1, 4, 13, 47]
 
     def test_builder_form(self):
         # multisets of plain stars: one object per size
-        ones = euler_exp_log([0, 1], [0], 1, 8)
+        ones = euler_exp_log([0, 1], [0], 8)
         assert ones.coeffs == (0,) + (1,) * 8
         # the atom z^2 and one free label as the weight: rooted trees
-        trees = euler_exp_log([0, 0, 1], [0, 0, 1], 2, 12)
-        assert trees == euler_series(Regime.COMM_MULT, 1, 2, 12)
+        trees = euler_exp_log([0, 0, 1], [0, 0, 1], 12)
+        assert trees == series_for(Regime.COMM_MULT, 1, 2, 12)
 
     def test_rejects_unit_constant_atom_series(self):
         with pytest.raises(ValueError):
-            euler_exp_log([1], [0], 1, 6)
-
-    def test_rejects_noncommutative_regimes(self):
-        with pytest.raises(ValueError):
-            euler_series(Regime.FREE, 1, 2, 8)
+            euler_exp_log([1], [0], 6)
 
 
 def test_dual_route_against_recurrences_spot():
@@ -158,17 +147,12 @@ def test_order_200_smoke(regime):
 def test_unary_layer_series_is_the_shared_length_form(regime):
     for d in range(1, 7):
         order = 2 * d + 2
-        got = unary_layer_series(regime, d, order)
-        form = layer_lengths(regime.unary_commute, d, order)
-        assert list(got.coeffs) == [form.get(k, 0) for k in range(order + 1)]
         # d*z^2, or 1 - (1 - z^2)^d = -sum_{j>=1} C(d, j)*(-z^2)^j
-        want = [0] * (order + 1)
         if regime.unary_commute:
-            for j in range(1, d + 1):
-                want[2 * j] = -math.comb(d, j) * (-1) ** j
+            want = {2 * j: -math.comb(d, j) * (-1) ** j for j in range(1, d + 1)}
         else:
-            want[2] = d
-        assert got == Series(want, order)
+            want = {2: d}
+        assert layer_lengths(regime.unary_commute, d, order) == want
 
 
 @pytest.mark.parametrize("regime", [Regime.COMM_UNARY, Regime.COMM_BOTH],
@@ -195,23 +179,25 @@ class TestSeriesArguments:
             with pytest.raises(ValueError):
                 solve(*args)
 
-    def test_exp_log_rejects_order_below_ell(self):
-        with pytest.raises(ValueError):
-            euler_exp_log([0] * 5 + [1], [0], 5, 4)
+    def test_exp_log_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="order"):
+            euler_exp_log([0, 1], [0], -1)
+        # an order below the atom's lowest term is the zero series
+        assert euler_exp_log([0] * 5 + [1], [0], 4) == Series([0] * 5)
 
     def test_exp_log_require_right_constant_terms(self):
         for atom, weight in [([1, 1], [0, 0, 1]), ([0, 1], [1])]:
             with pytest.raises(ValueError, match="zero constant term"):
-                euler_exp_log(atom, weight, 1, 6)
+                euler_exp_log(atom, weight, 6)
 
     def test_exp_log_rejects_non_integer_lists(self):
         with pytest.raises(ValueError, match="integers"):
-            euler_exp_log([0, Fraction(1, 2)], [0], 1, 6)
+            euler_exp_log([0, Fraction(1, 2)], [0], 6)
 
 
 def test_substitution_identity():
-    b14 = solve_quadratic_fe(Regime.FREE, 1, 4, 42)
-    b11 = solve_quadratic_fe(Regime.FREE, 1, 1, 20)
+    b14 = series_for(Regime.FREE, 1, 4, 42)
+    b11 = series_for(Regime.FREE, 1, 1, 20)
     for n in range(1, 21):
         assert b14.coeff(2 * n + 2) == b11.coeff(n)
 
