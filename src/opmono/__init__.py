@@ -81,7 +81,6 @@ _EXPORTS = {
         "enumerate_monomials",
     ),
     "series": (
-        "Series",
         "closed_form_free",
         "euler_exp_log",
         "series_for",

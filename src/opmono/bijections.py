@@ -473,8 +473,14 @@ def dyck_inverse(path, ell: int) -> Monomial:
 
 
 def all_dyck_paths(semilength: int) -> list[tuple[int, ...]]:
+    """All Dyck paths of the given semilength, as tuples of +1 and -1 steps.
+
+    Raises :class:`oracle.EnumerationCapExceeded` before any listing when
+    there are more than ``oracle.DEFAULT_CAP`` of them."""
     if semilength < 0:
         raise ValueError("need semilength >= 0")
+    # as many as the one-label binary trees with semilength vertices: Catalan
+    _check_cap(1, 2, 2 * semilength, "Dyck paths")
     out: list[tuple[int, ...]] = []
     # depth first, an up-step before a down-step
     todo = [((), semilength, 0)]

@@ -8,10 +8,11 @@ limit of ``counting`` for one count or a whole ``table``.
 
 Every call is a fresh process, so each subcommand imports the modules it
 calls itself, inside its function: ``count`` loads only ``counting`` and
-``monomial``.  ``series`` prints the coefficients of ``series.series_for``,
-or with ``--method closed`` those of ``series.closed_form_free`` (free
-regime only).  ``growth`` prints g and rho with only the decimals (up to
-six) that its certified enclosure fixes, and exits 2 when ``tol`` fixes none.
+``monomial``.  ``series`` prints the values of the ``LengthSequence`` that
+``series.series_for`` returns, or with ``--method closed`` the one that
+``series.closed_form_free`` returns (free regime only).  ``growth`` prints
+g and rho with only the decimals (up to six) that its certified enclosure
+fixes, and exits 2 when ``tol`` fixes none.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def cmd_series(args) -> int:
     else:
         raise ValueError("the closed form applies to the free regime only")
     for n in range(args.order + 1):
-        print(f"{n}\t{ser.coeff(n)}")
+        print(f"{n}\t{ser.values[n]}")
     return 0
 
 

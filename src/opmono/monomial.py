@@ -303,12 +303,11 @@ def word_to_text(tokens) -> str:
 def word_from_text(text: str) -> tuple[int, ...]:
     out = []
     for bit in text.split():
+        label = bit[1:]  # a delimiter's label is a decimal integer >= 1
         if bit == "*":
             out.append(0)
-        elif bit.startswith("("):
-            out.append(int(bit[1:]))
-        elif bit.startswith(")"):
-            out.append(-int(bit[1:]))
+        elif bit[0] in "()" and label.isdecimal() and int(label) >= 1:
+            out.append(int(label) if bit[0] == "(" else -int(label))
         else:
             raise ValueError(f"bad word token {bit!r}")
     return tuple(out)

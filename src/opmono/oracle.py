@@ -154,7 +154,7 @@ def count_by_length(d: int, ell: int, n: int, regime: Regime,
 def compositions(k: int, d: int):
     """All d-tuples of nonnegative integers summing to k, in lexicographic
     order: stars and bars, with d - 1 bars placed among k + d - 1 slots."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    if k < 0 or d < 1:
+        raise ValueError("need k >= 0 and d >= 1")
     for bars in combinations(range(k + d - 1), d - 1):
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (k + d - 1,)))

@@ -8,8 +8,9 @@ integer coefficient lists through a handful of shared kernels: truncated
 multiplication, the inverse of a series with constant term +-1, the
 exponential from its log-derivative, and the square root.  Every division
 inside a kernel is asserted exact and raises :class:`SelfCheckError`
-otherwise.  :class:`Series` only holds a solver's answer: an order and a
-tuple of ints, with no arithmetic of its own.
+otherwise.  The solvers of a regime return a :class:`counting.LengthSequence`,
+the same value type as :func:`counting.length_sequence`, so the dual-route
+check is plain equality.
 
 * The noncommutative-product regimes (free, c) solve the quadratic
   Q(B) = w*B^2 + (w + z^ell - 1)*B + z^ell = 0 by precision-doubling Newton
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .counting import SelfCheckError, layer_lengths
+from .counting import LengthSequence, SelfCheckError, layer_lengths
 from .monomial import Regime
 
 
@@ -124,46 +125,6 @@ def _term(k: int, n: int, c: int = 1) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The public holder.
-
-class Series:
-    """Power series truncated at ``order`` (inclusive), with integer
-    coefficients; immutable."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order: int | None = None):
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        cs = tuple(coeffs[: order + 1])
-        for n, c in enumerate(cs):
-            if not isinstance(c, int):
-                raise ValueError(f"coefficient of z^{n} is not an integer: {c!r}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", cs + (0,) * (order + 1 - len(cs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
-
-    def coeff(self, n: int) -> int:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} outside truncation order {self.order}")
-        return self.coeffs[n]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Series) and self.order == other.order
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"Series({list(self.coeffs)!r})"
-
-
-# ---------------------------------------------------------------------------
 # Solvers.
 
 def _check_args(d: int, ell: int, order: int) -> None:
@@ -196,12 +157,12 @@ def _quadratic_newton(w: list, ell: int, n: int) -> list:
     return b
 
 
-def closed_form_free(d: int, ell: int, order: int) -> Series:
+def closed_form_free(d: int, ell: int, order: int) -> LengthSequence:
     """The free-regime series by the quadratic formula for
     d*z^2*B^2 - L*B + z^ell = 0 with L = 1 - z^ell - d*z^2:
     B = (L - sqrt(L^2 - 4*d*z^(ell+2))) / (2*d*z^2), with an integer series
-    square root and an asserted exact division.  Agrees with
-    :func:`series_for` coefficient for coefficient."""
+    square root and an asserted exact division.  Equal to
+    ``series_for(Regime.FREE, d, ell, order)``."""
     _check_args(d, ell, order)
     n = order + 3  # the division by z^2 consumes two coefficients
     lin = _add([1], _term(ell, n, -1), _term(2, n, -d), n=n)
@@ -209,7 +170,8 @@ def closed_form_free(d: int, ell: int, order: int) -> Series:
     num = [a - b for a, b in zip(lin, _sqrt(disc, n))]
     if num[0] or num[1]:
         raise SelfCheckError("quadratic-formula numerator not divisible by z^2")
-    return Series([_div(c, 2 * d, "quadratic formula") for c in num[2:]], order)
+    return LengthSequence(Regime.FREE, d, ell,
+                          tuple(_div(c, 2 * d, "quadratic formula") for c in num[2:]))
 
 
 def _multiset_newton(atom: list, w: list, n: int) -> list:
@@ -238,9 +200,10 @@ def _multiset_newton(atom: list, w: list, n: int) -> list:
     return y
 
 
-def euler_exp_log(atom, weight, order: int) -> Series:
-    """Solution B of the multiset construction
-    1 + B = exp(sum_{j>=1} Bbar(z^j)/j), with Bbar = atom + weight*B.
+def euler_exp_log(atom, weight, order: int) -> tuple[int, ...]:
+    """Coefficients of z^0..z^order, as a tuple of ints, of the solution B
+    of the multiset construction 1 + B = exp(sum_{j>=1} Bbar(z^j)/j), with
+    Bbar = atom + weight*B.
 
     ``atom`` and ``weight`` are integer coefficient lists, each with zero
     constant term: the atom series of a monomial is the indeterminate z^ell
@@ -251,12 +214,13 @@ def euler_exp_log(atom, weight, order: int) -> Series:
         raise ValueError("atom and weight must be lists of integers")
     if any(atom[:1]) or any(weight[:1]):
         raise ValueError("atom and weight must have zero constant term")
-    return Series(_multiset_newton(atom, weight, order + 1), order)
+    return tuple(_multiset_newton(atom, weight, order + 1))
 
 
-def series_for(regime: Regime, d: int, ell: int, order: int) -> Series:
-    """Length-graded series of ``regime`` to ``order``: the coefficient of
-    z^n counts the monomials whose bracketed word has length n.
+def series_for(regime: Regime, d: int, ell: int, order: int) -> LengthSequence:
+    """Length-graded series of ``regime`` to ``order``, as the
+    :class:`counting.LengthSequence` whose ``values[n]``, the coefficient of
+    z^n, counts the monomials whose bracketed word has length n.
 
     With w the weight of one unary layer (d*z^2 for free operators,
     1 - (1-z^2)^d for commuting ones) and the atoms Bbar = z^ell + w*B, B is
@@ -273,6 +237,6 @@ def series_for(regime: Regime, d: int, ell: int, order: int) -> Series:
     n = order + 1
     form = layer_lengths(regime.unary_commute, d, order)  # one layer of labels
     w = [form.get(k, 0) for k in range(n)]
-    if regime.mult_commute:
-        return Series(_multiset_newton(_term(ell, n), w, n), order)
-    return Series(_quadratic_newton(w, ell, n), order)
+    b = (_multiset_newton(_term(ell, n), w, n) if regime.mult_commute
+         else _quadratic_newton(w, ell, n))
+    return LengthSequence(regime, d, ell, tuple(b))

@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+from opmono import bijections
 from opmono import (
     STAR,
     BinaryTree,
@@ -452,3 +453,10 @@ class TestDyck:
 
     def test_generator_leaves_no_cyclic_garbage(self):
         assert cyclic_garbage(all_dyck_paths, 6) == 0
+
+    def test_over_the_cap_refused_before_listing(self, monkeypatch):
+        # Catalan(5) = 42 paths are one more than the cap, Catalan(4) = 14 fewer
+        monkeypatch.setattr(bijections, "DEFAULT_CAP", 41)
+        with pytest.raises(EnumerationCapExceeded, match="Dyck paths or more"):
+            all_dyck_paths(5)
+        assert len(all_dyck_paths(4)) == 14

@@ -186,6 +186,13 @@ class TestWordCodec:
         assert word_to_text(w) == "* (1 * (2 * * )2 )1"
         assert word_from_text(word_to_text(w)) == w
 
+    @pytest.mark.parametrize("text", ["(0 * )0", "* )0", "(-1 * )1", "(1 * )-1",
+                                      "(+1 * )1", "( * )", "(x * )x"])
+    def test_word_text_labels_must_be_at_least_one(self, text):
+        # a label below 1 or with a sign would read as a star or the other delimiter
+        with pytest.raises(ValueError, match="bad word token"):
+            word_from_text(text)
+
     @given(monomials())
     def test_round_trip(self, m):
         assert decode_word(encode_word(m), 3) == m

@@ -235,3 +235,10 @@ def test_compositions_at_many_labels_within_default_recursion_limit():
     assert seen == 3000
     with pytest.raises(ValueError):
         list(oracle.compositions(2, 0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_compositions_of_a_negative_sum_rejected(d):
+    # no tuple of nonnegative parts sums to -1, so the request itself is wrong
+    with pytest.raises(ValueError, match="k >= 0"):
+        list(oracle.compositions(-1, d))
