@@ -9,10 +9,9 @@ limit of ``counting`` for one count or a whole ``table``.
 Every call is a fresh process, so each subcommand imports the modules it
 calls itself, inside its function: ``count`` loads only ``counting`` and
 ``monomial``.  ``series`` prints the values of the ``LengthSequence`` that
-``series.series_for`` returns, or with ``--method closed`` the one that
-``series.closed_form_free`` returns (free regime only).  ``growth`` prints
-g and rho with only the decimals (up to six) that its certified enclosure
-fixes, and exits 2 when ``tol`` fixes none.
+``series.series_for`` returns.  ``growth`` prints g and rho with only the
+decimals (up to six) that its certified enclosure fixes, and exits 2 when
+``tol`` fixes none.
 """
 
 from __future__ import annotations
@@ -48,6 +47,8 @@ def cmd_count(args) -> int:
     regime = Regime.from_code(args.regime)
     if args.oracle:
         value = len(_enumerate(args, regime))
+    elif args.cap is not None:
+        raise ValueError("--cap applies only with --oracle")
     else:
         from . import counting
 
@@ -122,13 +123,7 @@ def cmd_enumerate(args) -> int:
 def cmd_series(args) -> int:
     from . import series
 
-    regime = Regime.from_code(args.regime)
-    if args.method == "auto":
-        ser = series.series_for(regime, args.d, args.ell, args.order)
-    elif regime is Regime.FREE:
-        ser = series.closed_form_free(args.d, args.ell, args.order)
-    else:
-        raise ValueError("the closed form applies to the free regime only")
+    ser = series.series_for(Regime.from_code(args.regime), args.d, args.ell, args.order)
     for n in range(args.order + 1):
         print(f"{n}\t{ser.values[n]}")
     return 0
@@ -236,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", required=True, help="multiplicities, e.g. 2,1")
     sp.add_argument("--oracle", action="store_true",
                     help="count by brute-force enumeration instead of formulas")
-    sp.add_argument("--cap", type=int)
+    sp.add_argument("--cap", type=int, help="the oracle's enumeration cap (with --oracle)")
     sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("sequence", help="length-graded sequence prefix")
@@ -272,10 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--method", choices=["auto", "closed"], default="auto",
-                    help="auto: series.series_for, Newton iteration on the "
-                         "regime's equation; closed: series.closed_form_free, "
-                         "the quadratic formula (free regime only)")
     sp.set_defaults(func=cmd_series)
 
     sp = sub.add_parser("growth", help="exponential growth rate")

@@ -375,13 +375,13 @@ def free_length_closed(d: int, ell: int, n: int) -> int:
 
 
 def _length_values(layer: dict[int, int], ell: int, n_max: int, multiset: bool,
-                   prefix=(1,)) -> list[int]:
+                   prefix=(1,), step: int = 1) -> list[int]:
     # atoms bbar = z^ell + w*b; a sequence gives b_n = sum_k bbar_k*b_{n-k},
     # a multiset n*b_n = sum_k c_k*b_{n-k} with c_n = sum_{k | n} k*bbar_k,
     # where b_0 = 1 stands for the 1 in 1 + B.  The terms of ``prefix`` are
     # kept; bbar and c are rebuilt over them, then the recurrence goes on.
     # Both rules commute with z -> z^2, so a caller may pass the layer, ell
-    # and n_max all halved and read the result at t = z^2.
+    # and n_max all divided by ``step`` = 2 and read the result at t = z^2.
     b = list(prefix) + [0] * (n_max + 1 - len(prefix))
     bbar, c = [0] * (n_max + 1), [0] * (n_max + 1)
     for n in range(1, n_max + 1):
@@ -395,7 +395,8 @@ def _length_values(layer: dict[int, int], ell: int, n_max: int, multiset: bool,
             b[n], rem = divmod(sum(map(mul, c[1:n + 1], b[n - 1::-1])), n)
             if rem:
                 raise SelfCheckError(
-                    f"Euler length recurrence not divisible by n={n} (ell={ell})")
+                    f"Euler length recurrence not divisible at word length "
+                    f"{step * n} (ell={step * ell})")
         else:
             b[n] = sum(map(mul, bbar[1:n + 1], b[n - 1::-1]))
     return b
@@ -417,7 +418,7 @@ def _extend_table(table: list[int], commuting: bool, multiset: bool, d: int,
         raise SelfCheckError(
             f"length lattice step {step} does not divide ell={ell} and every layer shift")
     b = _length_values({k // step: v for k, v in layer.items()}, ell // step,
-                       n_max // step, multiset, table)
+                       n_max // step, multiset, table, step)
     new = range(len(table), len(b))
     if not commuting and not multiset:  # only the new terms are summed
         lo = step * len(table)

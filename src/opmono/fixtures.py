@@ -11,7 +11,8 @@ kinds:
 term per even length when ell is even); position 0 is the empty object with
 value 1, so offset 0 means the prefix starts with that 1.  ``arow`` rows are
 one-operator multigraded rows (fixed degree, increasing operator count).
-``count`` rows pin a single multigraded value.
+``count`` rows pin a single multigraded value.  d, ell and r are >= 1, and
+s has d entries, each >= 0; a line outside these ranges is malformed.
 """
 
 from __future__ import annotations
@@ -81,18 +82,25 @@ def _parse_line(line: str) -> FixtureEntry:
         return kv.pop(key)
 
     def number(key: str) -> int:
-        return _int(key, take(key))
+        value = _int(key, take(key))
+        if value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
+        return value
 
     d = number("d")
     if kind == "seq":
         entry = FixtureEntry("seq", seq_id, regime, d, terms,
-                             ell=number("ell"), offset=number("offset"))
+                             ell=number("ell"), offset=_int("offset", take("offset")))
+        if entry.offset not in (0, 1):
+            raise ValueError(f"offset must be 0 or 1, got {entry.offset}")
     elif kind == "arow":
         if d != 1:
             raise ValueError("arow rows require d=1")
         entry = FixtureEntry("arow", seq_id, regime, d, terms, r=number("r"))
     elif kind == "count":
         s = tuple(_int("s", x) for x in take("s").split(","))
+        if len(s) != d or min(s) < 0:
+            raise ValueError(f"s must have d={d} entries, each >= 0, got {s}")
         entry = FixtureEntry("count", seq_id, regime, d, terms, r=number("r"), s=s)
     else:
         raise ValueError(f"unknown kind {kind!r}")

@@ -13,21 +13,20 @@ the same value type as :func:`counting.length_sequence`, so the dual-route
 check is plain equality.
 
 * The noncommutative-product regimes (free, c) solve the quadratic
-  Q(B) = w*B^2 + (w + z^ell - 1)*B + z^ell = 0 by precision-doubling Newton
-  iteration (Brent & Kung 1978).  Q'(B) has constant term -1, so its
-  inverse is integral and each step doubles the number of correct
-  coefficients over the integers.
-* The free regime has a second, non-iterative route,
-  :func:`closed_form_free`: the quadratic formula with an integer series
-  square root, followed by an asserted exact division by 2*d*z^2.
+  Q(B) = w*B^2 + (w + z^ell - 1)*B + z^ell = 0 by its formula
+  B = (L - sqrt(L^2 - 4*w*z^ell)) / (2*w), L = 1 - z^ell - w, with an
+  integer series square root.  w = d*z^2 + ..., so the division by 2*w is
+  asserted exact term by term.  :func:`closed_form_free` is the free case
+  under its old name.
 * The commutative-product regimes (m, cm) solve the multiset construction
-  1 + Y = exp(sum_{j>=1} Bbar(z^j)/j), Bbar = z^ell + w*Y, by the same
-  doubling.  :func:`euler_exp_log` solves it for any atom and weight given
-  as two integer lists.  The j >= 2 terms R only read Y at half the index,
-  so each step fixes R from the half-precision iterate (Otter, Polya) and
-  takes one Newton step on Y = exp(z^ell + w*Y + R) - 1.  The exponential
-  is formed from the integral log-derivative sum_n (sum_{k|n} k*bbar_k) z^n,
-  so the division by n in m*e_m = sum_k c_k*e_{m-k} is asserted exact.
+  1 + Y = exp(sum_{j>=1} Bbar(z^j)/j), Bbar = z^ell + w*Y, which is not
+  algebraic, by precision-doubling Newton iteration (Brent & Kung 1978).
+  :func:`euler_exp_log` solves it for any atom and weight given as two
+  integer lists.  The j >= 2 terms R only read Y at half the index, so each
+  step fixes R from the half-precision iterate (Otter, Polya) and takes one
+  Newton step on Y = exp(z^ell + w*Y + R) - 1.  The exponential is formed
+  from the integral log-derivative sum_n (sum_{k|n} k*bbar_k) z^n, so the
+  division by n in m*e_m = sum_k c_k*e_{m-k} is asserted exact.
 
 Every solver finishes by substituting its answer back into its equation at
 full order.
@@ -127,51 +126,33 @@ def _term(k: int, n: int, c: int = 1) -> list:
 # ---------------------------------------------------------------------------
 # Solvers.
 
-def _check_args(d: int, ell: int, order: int) -> None:
-    if d < 1 or ell < 1:
-        raise ValueError("d and ell must be >= 1")
-    if order < ell:
-        raise ValueError("order must be at least ell")
-
-
-def _quadratic_newton(w: list, ell: int, n: int) -> list:
-    # Q(B) = B*(w*B + lin) + z^ell with lin = w + z^ell - 1, and
-    # Q'(B) = (w*B + lin) + w*B; Q(B) vanishes below z^h, so Q'(B) is only
-    # needed below z^(p-h).
-    lin = _add(w, _term(ell, n), [-1], n=n)
-    zl = _term(ell, n)
-
-    def parts(b, p):
-        wb = _mul(w, b, p)
-        t = _add(wb, lin, n=p)
-        return _add(_mul(b, t, p), zl, n=p), wb, t
-
-    def step(b, h, p):
-        q, wb, t = parts(b, p)
-        delta = _mul(q, _inv(_add(t, wb, n=p - h), p - h), p)
-        return [x - y for x, y in zip(b, delta)]
-
-    b = _newton(step, n)
-    if any(parts(b, n)[0]):
-        raise SelfCheckError("Newton solution does not satisfy the quadratic")
+def _quadratic(w: list, ell: int, order: int) -> list:
+    # B = (L - sqrt(D)) / (2*w) with L = 1 - z^ell - w and D = L^2 - 4*w*z^ell.
+    # w = z^2*v with v_0 = d, so the numerator is read to order + 2 and
+    # b_m = (num_{m+2}/2 - sum_{k>=1} v_k*b_{m-k}) / d, term by term.
+    n = order + 3
+    lin = _add([1], _term(ell, n, -1), [-c for c in w], n=n)
+    shifted = [0] * ell + [4 * c for c in w[:n - ell]]  # 4*w*z^ell
+    disc = [a - b for a, b in zip(_mul(lin, lin, n), shifted)]
+    num = [a - b for a, b in zip(lin, _sqrt(disc, n))]
+    if num[0] or num[1]:
+        raise SelfCheckError("quadratic-formula numerator not divisible by z^2")
+    v, b = w[2:], []
+    for m in range(order + 1):
+        b.append(_div(num[m + 2] - 2 * sum(map(mul, v[1:m + 1], b[::-1])), 2 * v[0],
+                      f"quadratic-formula coefficient of z^{m}"))
+    # substituted back: Q(B) = B*(w*B + w + z^ell - 1) + z^ell = 0
+    n = order + 1
+    if any(_add(_mul(b, _add(_mul(w, b, n), w, _term(ell, n), [-1], n=n), n),
+                _term(ell, n), n=n)):
+        raise SelfCheckError("quadratic-formula solution does not satisfy the quadratic")
     return b
 
 
 def closed_form_free(d: int, ell: int, order: int) -> LengthSequence:
-    """The free-regime series by the quadratic formula for
-    d*z^2*B^2 - L*B + z^ell = 0 with L = 1 - z^ell - d*z^2:
-    B = (L - sqrt(L^2 - 4*d*z^(ell+2))) / (2*d*z^2), with an integer series
-    square root and an asserted exact division.  Equal to
-    ``series_for(Regime.FREE, d, ell, order)``."""
-    _check_args(d, ell, order)
-    n = order + 3  # the division by z^2 consumes two coefficients
-    lin = _add([1], _term(ell, n, -1), _term(2, n, -d), n=n)
-    disc = _add(_mul(lin, lin, n), _term(ell + 2, n, -4 * d), n=n)
-    num = [a - b for a, b in zip(lin, _sqrt(disc, n))]
-    if num[0] or num[1]:
-        raise SelfCheckError("quadratic-formula numerator not divisible by z^2")
-    return LengthSequence(Regime.FREE, d, ell,
-                          tuple(_div(c, 2 * d, "quadratic formula") for c in num[2:]))
+    """``series_for(Regime.FREE, d, ell, order)``, kept under this name only
+    because the benchmark (``perfbench/worker.py``) calls it."""
+    return series_for(Regime.FREE, d, ell, order)
 
 
 def _multiset_newton(atom: list, w: list, n: int) -> list:
@@ -231,12 +212,15 @@ def series_for(regime: Regime, d: int, ell: int, order: int) -> LengthSequence:
     * the multiset construction 1 + B = exp(sum_{j>=1} Bbar(z^j)/j) of
       :func:`euler_exp_log` when the product is commutative (m, cm).
 
-    Both are solved by precision-doubling Newton iteration over the
-    integers."""
-    _check_args(d, ell, order)
-    n = order + 1
-    form = layer_lengths(regime.unary_commute, d, order)  # one layer of labels
-    w = [form.get(k, 0) for k in range(n)]
-    b = (_multiset_newton(_term(ell, n), w, n) if regime.mult_commute
-         else _quadratic_newton(w, ell, n))
+    The quadratic is solved by its formula, the multiset construction by
+    precision-doubling Newton iteration, both over the integers."""
+    if d < 1 or ell < 1:
+        raise ValueError("d and ell must be >= 1")
+    if order < ell:
+        raise ValueError("order must be at least ell")
+    # the quadratic formula divides by w = d*z^2 + ..., so w is read to order + 2
+    form = layer_lengths(regime.unary_commute, d, order + 2)  # one layer of labels
+    w = [form.get(k, 0) for k in range(order + 3)]
+    b = (_multiset_newton(_term(ell, order + 1), w, order + 1) if regime.mult_commute
+         else _quadratic(w, ell, order))
     return LengthSequence(regime, d, ell, tuple(b))

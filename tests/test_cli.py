@@ -44,6 +44,13 @@ class TestCount:
                              "--r", "1", "--s", "100000,100000")
         assert code == 3 and out == "" and err.startswith("error: ") and "cap" in err
 
+    def test_cap_without_oracle_refused(self, capsys):
+        for cap in ("-5", "10"):
+            code, out, err = run(capsys, "count", "--regime", "c", "--d", "2",
+                                 "--r", "2", "--s", "1,1", "--cap", cap)
+            assert (code, out) == (2, "")
+            assert err == "error: --cap applies only with --oracle\n"
+
     def test_oracle_multiset_cell(self, capsys):
         code, out, err = run(capsys, "count", "--oracle", "--regime", "m", "--d", "2",
                              "--r", "5", "--s", "2,2")
@@ -104,18 +111,7 @@ class TestSeries:
         assert out.splitlines() == ["0\t0", "1\t0", "2\t1", "3\t0", "4\t2",
                                     "5\t0", "6\t5"]
 
-    def test_closed_restricted_to_free(self, capsys):
-        code, _, err = run(capsys, "series", "--regime", "c", "--d", "1",
-                           "--ell", "2", "--order", "6", "--method", "closed")
-        assert code == 2 and "free regime" in err
-
-    def test_closed_prints_what_auto_prints(self, capsys):
-        argv = ["series", "--regime", "free", "--d", "2", "--ell", "2", "--order", "12"]
-        code, auto, _ = run(capsys, *argv)
-        assert code == 0
-        assert run(capsys, *argv, "--method", "closed") == (0, auto, "")
-
-    @pytest.mark.parametrize("method", ["fe", "newton", "euler"])
+    @pytest.mark.parametrize("method", ["fe", "newton", "euler", "auto", "closed"])
     def test_removed_methods_are_usage_errors(self, method):
         with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
             main(["series", "--regime", "free", "--d", "1", "--ell", "2", "--order", "4",
@@ -252,6 +248,22 @@ class TestVerifyAndBfile:
         code, out, err = run(capsys, "verify", str(f))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: fixture line 1: {message}")
+
+    @pytest.mark.parametrize("line,message", [
+        ("count B free d=2 r=1 s=1: 5", "s must have d=2 entries, each >= 0, got (1,)"),
+        ("count B free d=1 r=1 s=-1: 5", "s must have d=1 entries, each >= 0, got (-1,)"),
+        ("arow B free d=1 r=0: 1", "r must be >= 1, got 0"),
+        ("seq B free d=1 ell=0 offset=1: 1", "ell must be >= 1, got 0"),
+        ("seq B free d=0 ell=1 offset=1: 1", "d must be >= 1, got 0"),
+        ("seq B free d=1 ell=1 offset=2: 1", "offset must be 0 or 1, got 2"),
+    ], ids=["s-short", "s-negative", "r0", "ell0", "d0", "offset2"])
+    def test_fixture_line_out_of_range_exits_2(self, capsys, tmp_path, line, message):
+        # a good entry first: nothing is checked, or printed, before the file parses
+        f = tmp_path / "range.txt"
+        f.write_text(f"seq A000108 free d=1 ell=2 offset=1: 1,2,5\n{line}\n")
+        code, out, err = run(capsys, "verify", str(f))
+        assert (code, out) == (2, "")
+        assert err == f"error: fixture line 2: {message}\n"
 
     def test_bfile(self, capsys):
         code, out, _ = run(capsys, "bfile", "--regime", "free", "--d", "2",
@@ -564,7 +576,6 @@ _VALUES = {
     "--offset": st.integers(-1, 2).map(str),
     "--cap": st.integers(-1, 20).map(str),
     "--tol": (st.floats() | st.sampled_from([math.inf, math.nan, 1e-300, 0.0])).map(repr),
-    "--method": st.sampled_from(["auto", "closed"]),
     "--format": st.sampled_from(["plain", "csv", "json"]),
 }
 _OPTIONS = {  # flags take no value
@@ -572,7 +583,7 @@ _OPTIONS = {  # flags take no value
     "sequence": ["--regime", "--d", "--ell", "--terms", "--format"],
     "table": ["--regime", "--d", "--rmax", "--smax", "--format"],
     "enumerate": ["--regime", "--d", "--r", "--s", "--count-only", "--words", "--cap"],
-    "series": ["--regime", "--d", "--ell", "--order", "--method"],
+    "series": ["--regime", "--d", "--ell", "--order"],
     "growth": ["--regime", "--d", "--ell", "--tol", "--n"],
     "paths": ["--d", "--ell", "--span", "--check", "--count-only"],
     "trees": ["--d", "--vertices", "--check", "--count-only"],

@@ -2,6 +2,7 @@ import hashlib
 import math
 import pickle
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -308,6 +309,60 @@ class TestSharedLengthTable:
                         h.update(f"{code} d={d} ell={ell} offset={offset}: "
                                  f"{','.join(map(str, terms))}\n".encode())
         assert h.hexdigest() == TABLE_PREFIX_SHA256
+
+
+class TestSelfChecksFire:
+    """Each SelfCheckError site in counting fires when one input it reads is
+    made wrong, and names what failed."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_stores(self):
+        # the faults below must reach a computation, and leave nothing stored
+        counting._cells.cache_clear()
+        counting._length_table.cache_clear()
+        yield
+        counting._cells.cache_clear()
+        counting._length_table.cache_clear()
+
+    def test_narayana_division(self, monkeypatch):
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda n, k: comb(n, k) + 1)
+        with pytest.raises(counting.SelfCheckError,
+                           match=r"^narayana\(4,1\) division not exact$"):
+            narayana(4, 1)
+
+    def test_narayana_step(self, monkeypatch):
+        monkeypatch.setattr(counting, "narayana", lambda n, k, f=narayana: f(n, k) + 1)
+        with pytest.raises(counting.SelfCheckError,
+                           match=r"^Narayana step to N\(5,3\) not exact$"):
+            counting._free_closed_sums(1, 1, 5, 12)
+
+    def test_multiset_recurrence(self, monkeypatch):
+        monkeypatch.setattr(counting, "_divisors", lambda n: (n,))
+        with pytest.raises(counting.SelfCheckError, match=re.escape(
+                "multiset recurrence not divisible by r=2 at s=(0,) (d=1)")):
+            count(Regime.COMM_MULT, 1, 2, (0,))
+
+    @pytest.mark.parametrize("d, ell, where", [(1, 1, "2 (ell=1)"), (2, 2, "4 (ell=2)")],
+                             ids=["ell1", "ell2"])
+    def test_euler_length_recurrence(self, monkeypatch, d, ell, where):
+        # an even ell runs on the halved lattice; the message names the word length
+        monkeypatch.setattr(counting, "_divisors", lambda n: (n,))
+        with pytest.raises(counting.SelfCheckError, match=re.escape(
+                f"Euler length recurrence not divisible at word length {where}")):
+            length_sequence(Regime.COMM_MULT, d, ell, 12)
+
+    def test_minimal_length(self, monkeypatch):
+        values = counting._length_values
+
+        def doubled(*args):
+            b = values(*args)
+            return b[:1] + [2 * x for x in b[1:]]
+
+        monkeypatch.setattr(counting, "_length_values", doubled)
+        with pytest.raises(counting.SelfCheckError,
+                           match="^count at the minimal length 3 is not 1$"):
+            length_sequence(Regime.COMM_UNARY, 2, 3, 9)
 
 
 class TestUnaryLayer:

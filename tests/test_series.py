@@ -82,7 +82,7 @@ class TestQuadraticSolvers:
     def test_newton_agrees_with_fixpoint(self):
         for d in (1, 2, 3, 4):
             for ell in (1, 2, 3):
-                assert closed_form_free(d, ell, 40) == series_for(
+                assert series_for(Regime.FREE, d, ell, 40) == length_sequence(
                     Regime.FREE, d, ell, 40)
 
     def test_order_below_ell_rejected(self):
@@ -195,11 +195,11 @@ def test_series_result_keeps_the_benchmark_names():
         ser.order = 13
 
 
-def off_by_one(kernel, index):
-    """``kernel`` with coefficient ``index`` of its answer raised by one."""
+def raised(kernel, index, by=1):
+    """``kernel`` with coefficient ``index`` of its answer raised by ``by``."""
     def wrong(*args):
         out = kernel(*args)
-        out[index] += 1
+        out[index] += by
         return out
     return wrong
 
@@ -209,19 +209,26 @@ class TestSelfChecksFire:
     coefficient."""
 
     def test_closed_form_numerator(self, monkeypatch):
-        monkeypatch.setattr(series, "_sqrt", off_by_one(series._sqrt, 1))
-        with pytest.raises(SelfCheckError,
-                           match=r"^quadratic-formula numerator not divisible by z\^2$"):
-            closed_form_free(2, 2, 12)
+        monkeypatch.setattr(series, "_sqrt", raised(series._sqrt, 1))
+        for regime in (Regime.FREE, Regime.COMM_UNARY):
+            with pytest.raises(SelfCheckError,
+                               match=r"^quadratic-formula numerator not divisible by z\^2$"):
+                series_for(regime, 2, 2, 12)
 
-    @pytest.mark.parametrize("regime, equation", [
-        (Regime.FREE, "the quadratic"), (Regime.COMM_UNARY, "the quadratic"),
-        (Regime.COMM_MULT, "the exp-log equation"), (Regime.COMM_BOTH, "the exp-log equation"),
-    ], ids=["free", "c", "m", "cm"])
-    def test_newton_solution_substituted_back(self, monkeypatch, regime, equation):
-        monkeypatch.setattr(series, "_newton", off_by_one(series._newton, -1))
+    @pytest.mark.parametrize("regime", [Regime.FREE, Regime.COMM_UNARY], ids=["free", "c"])
+    def test_quadratic_solution_substituted_back(self, monkeypatch, regime):
+        # raising the last root coefficient by 2*d keeps every division exact,
+        # so only the substitution sees the wrong last term
+        monkeypatch.setattr(series, "_sqrt", raised(series._sqrt, -1, 2 * 2))
         with pytest.raises(SelfCheckError,
-                           match=f"^Newton solution does not satisfy {equation}$"):
+                           match="^quadratic-formula solution does not satisfy the quadratic$"):
+            series_for(regime, 2, 2, 12)
+
+    @pytest.mark.parametrize("regime", [Regime.COMM_MULT, Regime.COMM_BOTH], ids=["m", "cm"])
+    def test_newton_solution_substituted_back(self, monkeypatch, regime):
+        monkeypatch.setattr(series, "_newton", raised(series._newton, -1))
+        with pytest.raises(SelfCheckError,
+                           match="^Newton solution does not satisfy the exp-log equation$"):
             series_for(regime, 2, 2, 12)
 
 
